@@ -3,8 +3,9 @@
 Parses (a, b), normalizes, settles irreducibility, classifies every
 prime dividing the discriminant, glues the local bases, and reports the
 index and field discriminant with optional verification and JSON
-output.  Exit codes: 0 success (warnings allowed), 1 internal
-consistency failure, 2 the polynomial is provably reducible, 64 usage.
+output.  Exit codes: 0 success (warnings allowed), 1 internal or
+verification failure (never a traceback), 2 the polynomial is provably
+reducible, 64 usage.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from .basis import assemble, combine
 from .exact import INF, InternalError, floor_root, is_prime, vp
 from .newton import build_polygon
-from .poly import Poly, X
+from .poly import Poly, X, is_integral
 from .sextic import (
     irreducibility_check,
     normalize,
@@ -28,7 +29,6 @@ from .sextic import (
 from .verify import (
     OrderPresentation,
     dedekind_maximal_at_p,
-    is_integral,
     lattice_index,
     maximality_test,
 )
@@ -494,16 +494,21 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         report, code = _execute(args)
+        out = (json.dumps(report, indent=2) + "\n" if args.json
+               else _render_text(report))
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 64
     except InternalError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 1
-    if args.json:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
-    else:
-        sys.stdout.write(_render_text(report))
+    except Exception as e:
+        # the outermost boundary: every outcome maps to a documented exit
+        # code, so an unforeseen failure is reported on one line, not as
+        # a traceback
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
+    sys.stdout.write(out)
     return code
 
 

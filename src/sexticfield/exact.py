@@ -1,10 +1,12 @@
 """Exact integer and rational utilities shared by the whole package.
 
 Everything here is deterministic and allocation-light: valuations,
-modular arithmetic, a budgeted integer factorizer, Hermite normal form
-for rational row lattices, and small Fraction matrix helpers.  No
-floating point is used anywhere except the `math.inf` sentinel for the
-valuation of zero.
+modular arithmetic, integer roots, a budgeted integer factorizer and
+Hermite normal form for rational row lattices.  There are no matrix
+inverses or determinants over Fractions: the verification layer works
+with integer triangular solves, Berkowitz characteristic polynomials
+and ranks mod p instead.  No floating point is used anywhere except
+the `math.inf` sentinel for the valuation of zero.
 """
 
 from __future__ import annotations
@@ -263,14 +265,16 @@ def _brent_rho(n: int, budget: int):
 
 
 def _perfect_power(n: int):
-    """If n = m**k with k >= 2, return (m, k) with k maximal prime; else None."""
+    """If n = m**k for a prime k, return (m, k) for the least such k; else None.
+
+    Exact integer roots only: a float root misses every m above 2**53.
+    """
     for k in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
         if 2 ** k > n:
             break
-        r = round(n ** (1.0 / k))
-        for m in (r - 1, r, r + 1):
-            if m >= 2 and m ** k == n:
-                return m, k
+        m = floor_root(n, k)
+        if m ** k == n:
+            return m, k
     return None
 
 
@@ -412,70 +416,3 @@ def hnf(rows):
         den //= g
         work = [[x // g for x in r] for r in work]
     return tuple(tuple(r) for r in work), den
-
-
-# ---------------------------------------------------------------------------
-# small Fraction matrices (row-major tuples)
-
-
-def mat_identity(n: int):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-
-
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    assert all(len(r) == k for r in A)
-    Bt = list(zip(*B))
-    return tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A
-    )
-
-
-def mat_vec(A, v):
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in A)
-
-
-def mat_transpose(A):
-    return tuple(zip(*A))
-
-
-def mat_det(A):
-    """Determinant by fraction-free-ish Gaussian elimination on Fractions."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
-    det = Fraction(1)
-    for j in range(n):
-        piv = next((i for i in range(j, n) if M[i][j] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != j:
-            M[j], M[piv] = M[piv], M[j]
-            det = -det
-        det *= M[j][j]
-        inv = 1 / M[j][j]
-        for i in range(j + 1, n):
-            if M[i][j] != 0:
-                c = M[i][j] * inv
-                M[i] = [x - c * y for x, y in zip(M[i], M[j])]
-    return det
-
-
-def mat_inv(A):
-    n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(A)]
-    for j in range(n):
-        piv = next((i for i in range(j, n) if M[i][j] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        M[j], M[piv] = M[piv], M[j]
-        inv = 1 / M[j][j]
-        M[j] = [x * inv for x in M[j]]
-        for i in range(n):
-            if i != j and M[i][j] != 0:
-                c = M[i][j]
-                M[i] = [x - c * y for x, y in zip(M[i], M[j])]
-    return tuple(tuple(row[n:]) for row in M)

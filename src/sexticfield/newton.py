@@ -31,6 +31,7 @@ from .poly import (
     gauss_valuation,
     phi_expansion,
     reduce_poly,
+    residue_int,
 )
 
 
@@ -239,10 +240,10 @@ def residual_polynomial(polygon: NewtonPolygon, edge: Edge) -> ResidualPoly:
             raise InternalError("digit valuation dips below the hull")
         scaled = [Fraction(c) / p ** yj for c in digit.coeffs]
         if r == 1:
-            cs.append(field.from_int(_residue_of_fraction(scaled[0], p)))
+            cs.append(field.from_int(residue_int(scaled[0], p)))
         else:
             cs.append(
-                field.from_coeffs([_residue_of_fraction(c, p) for c in scaled])
+                field.from_coeffs([residue_int(c, p) for c in scaled])
             )
     if field.is_zero(cs[0]) or field.is_zero(cs[-1]):
         raise InternalError("edge endpoints must give nonzero residues")
@@ -251,13 +252,6 @@ def residual_polynomial(polygon: NewtonPolygon, edge: Edge) -> ResidualPoly:
     return ResidualPoly(
         edge=edge, p=p, modulus=tuple(modulus), coeffs=tuple(reversed(cs))
     )
-
-
-def _residue_of_fraction(c, p: int) -> int:
-    c = Fraction(c)
-    if c.denominator % p == 0:
-        raise InternalError("non p-integral residue")
-    return c.numerator * pow(c.denominator, -1, p) % p
 
 
 def is_p_regular(F: Poly, p: int):

@@ -4,7 +4,8 @@ The `Poly` class stores coefficients ascending (coeffs[i] is the
 coefficient of x^i) as ints or Fractions.  On top of it sit the
 phi-adic expansion used by the Newton-polygon machinery, a subresultant
 PRS resultant, characteristic polynomials of algebraic numbers given in
-root-power coordinates, and complete factorization modulo a prime.
+root-power coordinates (division-free Berkowitz on the integer
+multiplication matrix), and complete factorization modulo a prime.
 
 Finite-field arithmetic is written generically against a small "field
 object" protocol (PrimeField / ExtField) so the same gcd and power-mod
@@ -322,16 +323,6 @@ class ExtField:
 
 def fp_deg(cs):
     return len(cs) - 1
-
-
-def fp_add(K, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else K.zero
-        y = b[i] if i < len(b) else K.zero
-        out.append(K.add(x, y))
-    return _fp_strip(K, out)
 
 
 def fp_sub(K, a, b):
@@ -707,44 +698,61 @@ def discriminant(F: Poly) -> int:
     return sign * resultant(F, F.derivative())
 
 
-def char_poly_of_element(g: Poly, t: int, f: Poly) -> Poly:
-    """Characteristic polynomial of g(theta)/t over Q, theta a root of f.
+def _berkowitz(M):
+    """[1, c_1, ..., c_n] with det(y*I - M) = y^n + c_1 y^(n-1) + ... + c_n.
 
-    f must be monic of degree n with integer coefficients, g an integer
-    polynomial of degree < n, t a positive integer.  The result is the
-    monic degree-n polynomial whose roots are g(theta_i)/t over all
-    conjugates; computed by integer resultant evaluation at n+1 points
-    and exact Lagrange interpolation.
+    Berkowitz (1984): the characteristic polynomial of each leading
+    principal submatrix is a Toeplitz matrix times that of the one
+    before, using only ring operations, so integer input stays integer.
     """
+    vect = [1, -M[0][0]]
+    for r in range(1, len(M)):
+        R = M[r][:r]
+        col = [1, -M[r][r]]
+        v = [M[i][r] for i in range(r)]
+        for _ in range(r):
+            col.append(-sum(x * y for x, y in zip(R, v)))
+            v = [sum(M[i][j] * v[j] for j in range(r)) for i in range(r)]
+        vect = [
+            sum(col[i - j] * vect[j] for j in range(min(i, r) + 1))
+            for i in range(r + 2)
+        ]
+    return vect
+
+
+def _char_poly_numerators(g: Poly, t: int, f: Poly):
+    """det(y*I - M_g) as [1, c_1, ..., c_n], M_g multiplication by g(theta)."""
     if t <= 0:
         raise ValueError("denominator must be positive")
     if not (f.is_monic() and f.is_integer() and g.is_integer()):
         raise ValueError("integer monic f and integer g expected")
     n = f.degree
-    if g.degree >= n:
-        g = g.divmod_by(f)[1]
-    if g.degree <= 0:
-        # scalar: (y - g0/t)^n
-        c = Fraction(g[0], t)
-        return (X - c) ** n
-    # C(y) = Res_x(f(x), y - g(x)) = prod (y - g(theta_i)), degree n in y
-    ys = list(range(n + 1))
-    vals = [resultant(f, Poly((y0,)) - g) for y0 in ys]
-    C = Poly(())
-    for i, y0 in enumerate(ys):
-        num = Poly((1,))
-        den = 1
-        for j, y1 in enumerate(ys):
-            if j != i:
-                num = num * (X - y1)
-                den *= y0 - y1
-        C = C + num * Fraction(vals[i], den)
-    if not all(isinstance(c, int) for c in C.coeffs) or not C.is_monic():
-        raise InternalError("characteristic polynomial interpolation failed")
-    # roots scaled by 1/t: coefficient of y^k picks up t^(n-k) in C(t*y)/t^n
-    return Poly(tuple(Fraction(c, t ** (n - k)) for k, c in enumerate(C.coeffs)))
+    h = g.divmod_by(f)[1]
+    M = []
+    for _ in range(n):
+        M.append([h[k] for k in range(n)])
+        h = (h * X).divmod_by(f)[1]
+    return _berkowitz(M)
+
+
+def char_poly_of_element(g: Poly, t: int, f: Poly) -> Poly:
+    """Characteristic polynomial of g(theta)/t over Q, theta a root of f.
+
+    f must be monic of degree n with integer coefficients, g an integer
+    polynomial, t a positive integer.  The result is the monic degree-n
+    polynomial whose roots are g(theta_i)/t over all conjugates; its
+    coefficient of y^(n-k) is c_k / t^k, with c_k from Berkowitz on the
+    integer multiplication matrix of g(theta).
+    """
+    c = _char_poly_numerators(g, t, f)
+    n = len(c) - 1
+    return Poly(tuple(Fraction(c[n - k], t ** (n - k)) for k in range(n + 1)))
 
 
 def is_integral(g: Poly, t: int, f: Poly) -> bool:
-    """Is g(theta)/t an algebraic integer (theta a root of monic f)?"""
-    return char_poly_of_element(g, t, f).is_integer()
+    """Is g(theta)/t an algebraic integer (theta a root of monic f)?
+
+    Exactly when t^k divides every c_k of det(y*I - M_g).
+    """
+    c = _char_poly_numerators(g, t, f)
+    return all(ck % t ** k == 0 for k, ck in enumerate(c))

@@ -3,54 +3,67 @@
 Nothing here reuses the case analysis that produced a basis: elements
 are checked through characteristic polynomials, p-maximality of the
 power order through the classical gcd criterion, and p-maximality of an
-arbitrary order through the radical/multiplier-ring test.  Agreement
+arbitrary order through Cohen's criterion on the p-radical.  Agreement
 between these oracles and the table-driven pipeline is what the test
 suite leans on.
+
+All of it is integer arithmetic: lattice coordinates come from one
+triangular back-substitution with exact division, and the maximality
+test is a rank computation over F_p.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from fractions import Fraction
 
-from .exact import InternalError, hnf, mat_det, mat_inv
+from .exact import InternalError, hnf
 from .poly import Poly, factor_mod_p, poly_gcd_mod_p
-from .poly import is_integral as _char_poly_integral
 
 __all__ = [
     "OrderPresentation",
-    "is_integral",
     "lattice_index",
     "dedekind_maximal_at_p",
     "maximality_test",
 ]
 
 
-def is_integral(g: Poly, t: int, f: Poly) -> bool:
-    """Is g(theta)/t an algebraic integer, theta a root of monic f?"""
-    return _char_poly_integral(g, t, f)
+def _solve_triangular(rows, dens, v, den):
+    """Integer coordinates of v/den in the lattice spanned by rows[i]/dens[i].
 
-
-def _vec_times_mat(v, M):
-    n = len(M[0])
-    return tuple(sum(v[i] * M[i][j] for i in range(len(v))) for j in range(n))
+    rows[i] is an integer row whose last nonzero entry is rows[i][i]
+    (entries past i may be absent).  Returns None when v/den is not in
+    the lattice.  Back-substitution from the top coordinate down, over
+    the common denominator, with exact division only.
+    """
+    L = math.lcm(den, *dens)
+    w = [x * (L // den) for x in v]
+    x = [0] * len(rows)
+    for k in range(len(rows) - 1, -1, -1):
+        row, s = rows[k], L // dens[k]
+        q, r = divmod(w[k], row[k] * s)
+        if r:
+            return None
+        if q:
+            x[k] = q
+            for j in range(k + 1):
+                w[j] -= q * row[j] * s
+    return tuple(x)
 
 
 @dataclasses.dataclass(frozen=True)
 class OrderPresentation:
     """A multiplicatively closed lattice between Z[theta] and the maximal order.
 
-    `matrix` holds the basis elements as rational coordinate rows over
-    the powers of theta; `mult_table[i][j]` gives the integer
-    coordinates of the product of basis elements i and j back in the
-    order basis.  The table is computed eagerly at construction and the
-    constructor refuses lattices that are not closed under
+    The basis elements are the triangular theta-power rows over their
+    denominators, with lcm `denominator`; `mult_table[i][j]` gives the
+    integer coordinates of the product of basis elements i and j back in
+    the order basis.  The table is computed eagerly at construction and
+    the constructor refuses lattices that are not closed under
     multiplication, so holding an OrderPresentation is itself the
     certificate that the lattice is a ring.
     """
 
-    matrix: tuple
     denominator: int
     f: Poly
     mult_table: tuple
@@ -68,43 +81,27 @@ class OrderPresentation:
             raise ValueError("expected a sextic with six triangular rows")
         if denominators[0] != 1:
             raise ValueError("the first basis element must be 1")
-        mat = []
-        den = 1
-        for i in range(6):
-            t = denominators[i]
-            row = [Fraction(rows[i][j], t) for j in range(i)]
-            row.append(Fraction(1, t))
-            row.extend([Fraction(0)] * (5 - i))
-            mat.append(tuple(row))
-            den = math.lcm(den, t)
-        minv = mat_inv(tuple(mat))
-        for r in minv:
-            for x in r:
-                if x.denominator != 1:
-                    raise InternalError("triangular basis failed to contain 1, theta, ...")
-
-        polys = [Poly(tuple(rows[i]) + (1,)) for i in range(6)]
+        # each row is monic over an integer denominator, so the lattice
+        # contains 1, theta, ..., theta^5 by construction
+        full = [tuple(rows[i]) + (1,) for i in range(6)]
+        polys = [Poly(r) for r in full]
         table = []
         for i in range(6):
             line = []
             for j in range(6):
                 prod = (polys[i] * polys[j]).divmod_by(f)[1]
-                coords = [
-                    Fraction(prod[k], denominators[i] * denominators[j])
-                    for k in range(6)
-                ]
-                expressed = _vec_times_mat(coords, minv)
-                if any(x.denominator != 1 for x in expressed):
+                coords = _solve_triangular(
+                    full, denominators, [prod[k] for k in range(6)],
+                    denominators[i] * denominators[j],
+                )
+                if coords is None:
                     raise ValueError(
                         "lattice is not closed under multiplication"
                     )
-                line.append(tuple(int(x) for x in expressed))
+                line.append(coords)
             table.append(tuple(line))
         return cls(
-            matrix=tuple(mat),
-            denominator=den,
-            f=f,
-            mult_table=tuple(table),
+            denominator=math.lcm(*denominators), f=f, mult_table=tuple(table)
         )
 
     def multiply(self, u, v):
@@ -125,21 +122,26 @@ class OrderPresentation:
 def lattice_index(basis) -> int:
     """Index of the power-basis lattice inside the one spanned by `basis`.
 
-    Computed as the reciprocal of the transition determinant, so it is
-    an oracle independent of the denominators' bookkeeping.  Accepts
-    anything with element(i) -> (numerator Poly, denominator).
+    With basis elements g_i/t_i this is prod(t_i) / |det N|, N the matrix
+    of numerator rows g_i, and |det N| the product of the diagonal of the
+    Hermite normal form of N; so it is an oracle independent of the
+    denominators' bookkeeping.  Accepts anything with
+    element(i) -> (numerator Poly, denominator).
     """
-    mat = []
+    numerators = []
+    scale = 1
     for i in range(6):
         g, t = basis.element(i)
-        mat.append(tuple(Fraction(g[j], t) for j in range(6)))
-    det = mat_det(tuple(mat))
-    if det == 0:
-        raise ValueError("degenerate basis")
-    recip = 1 / abs(det)
-    if recip.denominator != 1:
+        numerators.append(tuple(g[j] for j in range(6)))
+        scale *= t
+    try:
+        H, _ = hnf(numerators)
+    except ValueError:
+        raise ValueError("degenerate basis") from None
+    det = math.prod(H[i][i] for i in range(6))
+    if scale % det:
         raise InternalError("transition determinant is not a unit fraction")
-    return int(recip)
+    return scale // det
 
 
 def dedekind_maximal_at_p(f: Poly, p: int) -> bool:
@@ -222,11 +224,16 @@ def _frobenius_power_rows(order: OrderPresentation, p: int, r: int):
 
 
 def maximality_test(order: OrderPresentation, p: int) -> bool:
-    """Is the order p-maximal?  Radical and multiplier ring, exactly.
+    """Is the order p-maximal?  Cohen's criterion, exactly and mod p.
 
-    The radical of pO is the kernel of the iterated p-power map on O/pO
-    (iterated until p^r >= 6, which kills every nilpotent); the order is
-    p-maximal iff the multiplier ring of that radical is O itself.
+    The p-radical I is pO plus the kernel of the iterated p-power map on
+    O/pO (iterated until p^r >= 6, which kills every nilpotent).  The
+    order is p-maximal iff the multiplier ring of I is O itself, which
+    holds iff x -> (multiplication by x on I/pI) is injective on O/pO
+    (Cohen, GTM 138, Alg. 6.1.8).  Each product e_j * g_k of a basis
+    element of O with an HNF basis element of I is written in the basis
+    of I by triangular back-substitution; the resulting 6 x 36 matrix
+    over F_p must have a trivial left kernel.
     """
     r = 1
     while p ** r < 6:
@@ -242,20 +249,15 @@ def maximality_test(order: OrderPresentation, p: int) -> bool:
     if den != 1:
         raise InternalError("radical lattice has a denominator")
 
-    BIinv = mat_inv(tuple(tuple(Fraction(x) for x in row) for row in BI))
-    columns = []
-    for g in BI:
-        # multiplication by g, rows = images of the basis vectors
-        R = [order.multiply(g, tuple(1 if i == j else 0 for i in range(6)))
-             for j in range(6)]
-        P = [_vec_times_mat(R[j], BIinv) for j in range(6)]
-        for k in range(6):
-            columns.append(tuple(P[j][k] for j in range(6)))
-    H, cden = hnf(columns)
-    dual_rows = mat_inv(tuple(tuple(Fraction(x) for x in row) for row in H))
-    # multiplier lattice = rows of cden * inverse-transpose of H
-    for i in range(6):
-        for j in range(6):
-            if (cden * dual_rows[j][i]).denominator != 1:
-                return False
-    return True
+    ones = (1,) * 6
+    # column (k, l) of the image matrix: coordinate l of e_j * g_k, j = 0..5
+    columns = [[] for _ in range(36)]
+    for j in range(6):
+        e_j = tuple(int(i == j) for i in range(6))
+        for k, g in enumerate(BI):
+            coords = _solve_triangular(BI, ones, order.multiply(e_j, g), 1)
+            if coords is None:
+                raise InternalError("radical is not an ideal of the order")
+            for l in range(6):
+                columns[6 * k + l].append(coords[l])
+    return not _kernel_mod_p(columns, p)

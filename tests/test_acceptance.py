@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from sexticfield.basis import assemble, combine, prime_exponent_profile
-from sexticfield.exact import mat_det, mat_inv, mat_mul, vp
+from sexticfield.exact import vp
 from sexticfield.newton import build_polygon, ore_index
 from sexticfield.poly import Poly, X, is_integral, resultant, trinomial
 from sexticfield.sextic import (
@@ -32,6 +32,7 @@ from sexticfield.verify import (
 )
 
 from casegen import all_labels, instance
+from fracmat import mat_det, mat_inv, mat_mul
 
 
 def _coord_matrix(rows, denominators):

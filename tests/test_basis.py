@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from casegen import instance
+from fracmat import mat_det
 from sexticfield.basis import (
     IntegralBasis,
     assemble,
@@ -13,7 +14,7 @@ from sexticfield.basis import (
     field_discriminant,
     prime_exponent_profile,
 )
-from sexticfield.exact import InternalError, mat_det
+from sexticfield.exact import InternalError
 from sexticfield.sextic import normalize, p_integral_basis
 
 

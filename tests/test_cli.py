@@ -1,6 +1,12 @@
 import json
+from pathlib import Path
 
+import pytest
+
+from sexticfield import cli
 from sexticfield.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _capture(capsys, argv):
@@ -179,3 +185,42 @@ def test_text_report_worked_example(capsys):
     assert "(2 + t^3)/4" in out
     assert "d_K = -2834352" in out
     assert "2^4 * 3^11" in out
+
+
+@pytest.mark.parametrize("a, b", [(0, 12), (0, 135), (4, 4)])
+@pytest.mark.parametrize("mode", ["basic", "full"])
+def test_json_matches_golden(capsys, a, b, mode):
+    """Byte-identical --json output on the worked fields, both verify modes."""
+    code, out, err = _capture(
+        capsys, ["--a", str(a), "--b", str(b), "--json", "--verify", mode]
+    )
+    assert code == 0
+    assert err == ""
+    assert out == (GOLDEN / f"a{a}_b{b}_{mode}.json").read_text()
+
+
+def test_unexpected_exception_exits_1_without_traceback(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli, "assemble", boom)
+    code, out, err = _capture(capsys, ["--a", "4", "--b", "4", "--json"])
+    assert code == 1
+    assert out == ""
+    assert err == "internal error: ZeroDivisionError: boom\n"
+
+
+def test_coefficients_beyond_float_range(capsys):
+    """Perfect-power detection must not go through a float root."""
+    a, b = 10 ** 60 + 1, 10 ** 61 + 3
+    code, out, err = _capture(
+        capsys,
+        ["--a", str(a), "--b", str(b), "--json", "--factor-budget", "10000"],
+    )
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    assert report["verification"]["all_passed"]
+    D = int(report["discriminant"]["value"])
+    d_K = int(report["field_discriminant"]["d_K"])
+    assert D == int(report["index"]) ** 2 * d_K

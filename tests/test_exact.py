@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracmat import mat_det, mat_identity
+
 from sexticfield.exact import (
     INF,
     InternalError,
@@ -16,10 +18,6 @@ from sexticfield.exact import (
     floor_root,
     hnf,
     is_prime,
-    mat_det,
-    mat_identity,
-    mat_inv,
-    mat_mul,
     solve_linear_congruence,
     vp,
     vp_fraction,
@@ -127,6 +125,11 @@ def test_factor_perfect_power():
     assert pf.factors == ((p, 4),)
     pf = factor(2 ** 60)
     assert pf.factors == ((2, 60),)
+    # m**4 is far beyond the float range, so no float root may be taken
+    m = next(q for q in range(10 ** 100 + 1, 10 ** 100 + 10 ** 4, 2) if is_prime(q))
+    pf = factor(m ** 4)
+    assert pf.factors == ((m, 4),)
+    assert pf.complete
 
 
 def test_factor_budget_exhaustion():
@@ -210,15 +213,6 @@ def test_hnf_unimodular_invariance(mat, denom):
     ]
     H2 = hnf(mixed)
     assert H1 == H2
-
-
-def test_mat_helpers():
-    A = ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(5)))
-    assert mat_det(A) == -1
-    Ainv = mat_inv(A)
-    assert mat_mul(A, Ainv) == mat_identity(2)
-    with pytest.raises(ValueError):
-        mat_inv(((1, 2), (2, 4)))
 
 
 def test_prime_factorization_dataclass():

@@ -6,7 +6,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sexticfield.exact import mat_det
+from fracmat import mat_det
+
 from sexticfield.poly import (
     ExtField,
     ModPoly,

@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 
 from casegen import instance
+from fracmat import mat_inv
 from sexticfield.basis import assemble
-from sexticfield.poly import Poly, char_poly_of_element, trinomial
+from sexticfield.exact import factor
+from sexticfield.poly import Poly, char_poly_of_element, is_integral, trinomial
 from sexticfield.sextic import normalize, p_integral_basis
 from sexticfield.verify import (
     OrderPresentation,
+    _solve_triangular,
     dedekind_maximal_at_p,
-    is_integral,
     lattice_index,
     maximality_test,
 )
@@ -62,6 +64,18 @@ def test_lattice_index():
     pb = p_integral_basis(3, field)
     assert lattice_index(pb) == 3 ** pb.index_valuation
 
+    # the same lattice in the unimodular basis b_i + b_(i+1), b_5: the
+    # numerators are no longer triangular and prod(t_i) is not the index
+    class Mixed:
+        def element(self, i):
+            g, t = basis.element(i)
+            if i == 5:
+                return g, t
+            h, u = basis.element(i + 1)
+            return g * u + h * t, t * u
+
+    assert lattice_index(Mixed()) == 2 ** 3
+
 
 def test_dedekind_criterion():
     assert dedekind_maximal_at_p(trinomial(4, 4), 8539)
@@ -90,6 +104,55 @@ def test_maximality_oracle_on_worked_examples():
     )
     assert maximality_test(order, 2)
     assert maximality_test(order, 3)
+
+
+def test_maximality_test_agrees_with_dedekind():
+    """Both oracles decide p-maximality of Z[theta]; they must agree."""
+    rng = random.Random(2718)
+    pairs = 0
+    while pairs < 20:
+        a = rng.randint(-3000, 3000)
+        b = rng.randint(-3000, 3000)
+        D = 3125 * a ** 6 - 46656 * b ** 5
+        if b == 0 or D == 0:
+            continue
+        f = trinomial(a, b)
+        power = OrderPresentation.from_triangular(POWER_ROWS, (1,) * 6, f)
+        pf = factor(D)
+        assert pf.complete
+        for p in pf.primes():
+            assert maximality_test(power, p) == dedekind_maximal_at_p(f, p), \
+                (a, b, p)
+        pairs += 1
+
+
+def test_solve_triangular_against_inverse():
+    """Coordinates by back-substitution equal v/den times the inverse."""
+    rng = random.Random(404)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        dens = [rng.choice((1, 2, 3, 4, 6, 9)) for _ in range(n)]
+        rows = [
+            [rng.randint(-5, 5) for _ in range(i)] + [rng.choice((1, -1, 2, 3))]
+            for i in range(n)
+        ]
+        basis = [
+            [Fraction(c, d) for c in row] + [0] * (n - len(row))
+            for row, d in zip(rows, dens)
+        ]
+        inverse = mat_inv(basis)
+        for _ in range(4):
+            den = rng.choice((1, 2, 3, 5, 12))
+            v = [rng.randint(-30, 30) for _ in range(n)]
+            want = [
+                sum(Fraction(v[i], den) * inverse[i][j] for i in range(n))
+                for j in range(n)
+            ]
+            got = _solve_triangular(rows, dens, v, den)
+            if all(x.denominator == 1 for x in want):
+                assert got == tuple(want)
+            else:
+                assert got is None
 
 
 def test_dedekind_agrees_with_case_tables():
