@@ -27,7 +27,6 @@ from .poly import Poly, discriminant, is_integral, resultant, trinomial
 from .sextic import (
     CASE_LABELS,
     REGULAR_ROUTE,
-    CaseParams,
     IrreducibilityReport,
     PAdicBasis,
     PureSexticReport,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Assembly",
     "CASE_LABELS",
-    "CaseParams",
     "IntegralBasis",
     "InternalError",
     "IrreducibilityReport",

@@ -5,7 +5,10 @@ prime dividing the discriminant, glues the local bases, and reports the
 index and field discriminant with optional verification and JSON
 output.  Exit codes: 0 success (warnings allowed), 1 internal or
 verification failure (never a traceback), 2 the polynomial is provably
-reducible, 64 usage.
+reducible, 64 usage.  A pair whose discriminant has more decimal digits
+than the interpreter's integer-to-string limit allows
+(sys.get_int_max_str_digits(), 0 meaning no limit) cannot be reported
+and exits 64 before any work is done; the limit is left as it is.
 """
 
 from __future__ import annotations
@@ -91,14 +94,6 @@ def _render_element(coeffs, den) -> str:
     return body if den == 1 else f"({body})/{den}"
 
 
-def _value_str(v) -> str:
-    if v is INF:
-        return "inf"
-    if isinstance(v, Fraction):
-        return str(v)
-    return str(v)
-
-
 def _factors_list(factors):
     return [[_s(p), _s(e)] for p, e in factors]
 
@@ -139,12 +134,7 @@ def _polygon_dict(f: Poly, p: int, phi=None, base: str = "t"):
 
 
 def _params_dict(params):
-    out = {}
-    for field in params.__dataclass_fields__:
-        v = getattr(params, field)
-        if v is not None:
-            out[field] = _value_str(v)
-    return out
+    return {name: str(value) for name, value in params.items()}
 
 
 def _prime_entry(pb, f: Poly, explain: bool):
@@ -173,7 +163,7 @@ def _prime_entry(pb, f: Poly, explain: bool):
             "parameters": lines,
             "polygon": _polygon_dict(f, pb.p),
         }
-        translations = ore_translations(pb.case, pb.params)
+        translations = ore_translations(pb.params)
         if translations:
             # the index claim for this case rests on the polygon taken
             # at the translated base, not at t itself
@@ -220,6 +210,13 @@ def _execute(args):
         raise UsageError("--factor-budget must be non-negative")
     if args.prime is not None and not is_prime(args.prime):
         raise UsageError(f"--prime must be a prime number, got {args.prime}")
+    # Python releases before 3.10.7 have no such limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and abs(3125 * a ** 6 - 46656 * b ** 5) >= 10 ** limit:
+        raise UsageError(
+            f"the discriminant of (a, b) has more than {limit} digits, "
+            f"the interpreter's limit for printing an integer"
+        )
 
     # degenerate inputs never reach the tables
     if b == 0:

@@ -254,27 +254,6 @@ def residual_polynomial(polygon: NewtonPolygon, edge: Edge) -> ResidualPoly:
     )
 
 
-def is_p_regular(F: Poly, p: int):
-    """Squarefreeness of every residual polynomial of every repeated factor.
-
-    Uses the plain lifts of the irreducible factors of F mod p.  Returns
-    (flag, report) where report lists, per repeated factor, the polygon
-    and its residual polynomials with their squarefreeness.
-    """
-    _, facs = factor_mod_p(F, p)
-    flag = True
-    report = []
-    for phibar, mult in facs:
-        if mult < 2:
-            continue
-        polygon = build_polygon(F, phibar.lift(), p)
-        residuals = polygon.residual_polynomials()
-        ok = all(rp.is_squarefree() for rp in residuals)
-        flag = flag and ok
-        report.append((phibar, polygon, residuals, ok))
-    return flag, report
-
-
 def ore_index(F: Poly, p: int, translations=()):
     """(lower bound for v_p of the index of Z[x]/F, attained?) via polygons.
 
@@ -303,21 +282,3 @@ def ore_index(F: Poly, p: int, translations=()):
             if not rp.is_squarefree():
                 attained = False
     return total, attained
-
-
-def integral_quotients(polygon: NewtonPolygon):
-    """Denominator exponents for the partial quotients of F by phi.
-
-    For j = 1 .. n the element q_j = sum_{i >= j} digit_i * phi^(i-j)
-    evaluated at a root of F, divided by p^floor(hull(n - j)), is an
-    algebraic integer.  Returns ((q_j, exponent), ...) ascending in j.
-    """
-    n = polygon.length
-    out = []
-    for j in range(1, n + 1):
-        q = Poly(())
-        for i in range(j, n + 1):
-            q = q + polygon.digits[i] * polygon.phi ** (i - j)
-        exponent = math.floor(polygon.hull_height(n - j))
-        out.append((q, exponent))
-    return tuple(out)

@@ -7,21 +7,35 @@ data into concrete objects:
 
   * the discriminant D = 3125*a^6 - 46656*b^5 of f and the
     normalization step that strips p^5 | a, p^6 | b common content;
-  * an 87-way case dispatch (26 cases at p = 2, 27 at p = 3, 22 at
-    p = 5, 12 for every larger prime), each case carrying v_p(D),
-    v_p(d_K) and a triangular basis template
-
-        alpha_i = (c_i0 + c_i1*theta + ... + theta^i) / p^k_i ;
-
-  * the congruence parameters (translation points, linear-congruence
-    solutions, unit signs) the non-constant templates need;
+  * the 87-case classification as four tables, one per prime block:
+    E1-E26 at p = 2, F1-F27 at p = 3, G1-G22 at p = 5 and H1-H12 for
+    every larger prime;
   * a closed form for the field discriminant of pure sextics x^6 + b,
     used as an independent cross-check of the main pipeline;
   * a certificate-producing irreducibility test tuned to trinomials.
 
-Every case dispatch evaluates the full predicate list and insists on
-exactly one match; any violation raises InternalError rather than
-guessing.
+Each table row is
+
+    (label, predicate, exact v_p(D) or None, v_p(d_K), k, rows)
+
+`predicate` reads the local data of (a, b) at p: the valuations va, vb,
+vD and the residues its block needs.  `k` is the exponent vector of the
+triangular basis template
+
+    alpha_i = (c_i0 + c_i1*theta + ... + theta^i) / p^k_i ;
+
+a final None marks a deep row, whose exponent follows from the index
+relation 2*sum(k) + v_p(d_K) = v_p(D).  `rows` maps i to c_i0 .. c_i,i-1
+for the rows other than theta^i.  For the cases whose rows or parameters
+depend on (a, b) it is a builder (local data, k) -> (rows, params)
+instead; the parameters are translation points, solutions of linear
+congruences and unit signs.
+
+One evaluator, `p_integral_basis`, runs all four tables.  It computes the
+local data once and insists on exactly one matching predicate.  It
+checks the exact v_p(D), the index relation and that k is monotone, and
+only then calls the row's builder.  Any violation raises InternalError
+rather than guessing.
 """
 
 from __future__ import annotations
@@ -29,6 +43,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
+from types import MappingProxyType, SimpleNamespace
 
 from .exact import (
     INF,
@@ -43,7 +58,6 @@ from .poly import Poly, factor_mod_p, trinomial
 
 __all__ = [
     "TrinomialField",
-    "CaseParams",
     "PAdicBasis",
     "PureSexticReport",
     "IrreducibilityReport",
@@ -148,59 +162,7 @@ def normalize(a: int, b: int) -> TrinomialField:
 
 
 # ---------------------------------------------------------------------------
-# case labels and parameters
-
-
-CASE_LABELS = tuple(
-    [f"E{i}" for i in range(1, 27)]
-    + [f"F{i}" for i in range(1, 28)]
-    + [f"G{i}" for i in range(1, 23)]
-    + [f"H{i}" for i in range(1, 13)]
-)
-
-# Cases whose index count is certified by squarefree residual polynomials,
-# so the polygon machinery reproduces sum(k_i) exactly.
-REGULAR_ROUTE = frozenset(
-    [f"E{i}" for i in range(2, 17)]
-    + [f"F{i}" for i in range(2, 25)]
-    + [f"G{i}" for i in range(2, 23)]
-    + [f"H{i}" for i in range(2, 13)]
-)
-
-
-@dataclasses.dataclass(frozen=True)
-class CaseParams:
-    """Derived quantities a basis template may refer to.
-
-    Only the entries a given case actually uses are populated; the rest
-    stay None.  beta = -6b/(5a) is the translation point that resolves
-    the repeated linear factor in the deep-discriminant cases; delta is
-    its shifted variant for the even-discriminant branch at p = 2; the
-    x-parameters are least non-negative solutions of the printed linear
-    congruences; eps is a unit sign; B = b/27; r0, r1 are the two
-    valuations steering the quintic 5-adic cases; m and the k-exponents
-    size the denominator of the single nontrivial row.
-    """
-
-    beta: Fraction | None = None
-    delta: Fraction | None = None
-    s0: int | None = None
-    s1: int | None = None
-    u: int | None = None
-    x0: int | None = None
-    x1: int | None = None
-    x2: int | None = None
-    x3: int | None = None
-    eps: int | None = None
-    B: int | None = None
-    r0: object = None
-    r1: object = None
-    m: int | None = None
-    k0: int | None = None
-    k1: int | None = None
-    k2: int | None = None
-    k3: int | None = None
-    row_solution: tuple | None = None
+# basis templates
 
 
 @dataclasses.dataclass(frozen=True)
@@ -210,12 +172,13 @@ class PAdicBasis:
     `rows` holds six coefficient tuples of lengths 0..5, already reduced
     to the canonical range 0 <= c_ij < p^(k_i - k_j).  `v_D` and `v_dK`
     are the case's claimed valuations; they satisfy
-    2*sum(k) + v_dK == v_D by construction.
+    2*sum(k) + v_dK == v_D by construction.  `params` is the case's
+    read-only parameter mapping (see `classify`).
     """
 
     p: int
     case: str
-    params: CaseParams
+    params: MappingProxyType
     k: tuple
     rows: tuple
     v_D: int
@@ -256,13 +219,12 @@ def reduce_triangular_rows(rows, denominators):
     return tuple(tuple(r) for r in work)
 
 
-def _rows(r2=None, r3=None, r4=None, r5=None):
-    base = [(), (0,), (0, 0), (0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0, 0)]
-    for i, r in ((2, r2), (3, r3), (4, r4), (5, r5)):
-        if r is not None:
-            if len(r) != i:
-                raise InternalError(f"row {i} template has wrong length")
-            base[i] = tuple(r)
+def _rows(nontrivial):
+    base = [(0,) * i for i in range(6)]
+    for i, r in nontrivial.items():
+        if len(r) != i:
+            raise InternalError(f"row {i} template has wrong length")
+        base[i] = tuple(r)
     return tuple(base)
 
 
@@ -272,534 +234,386 @@ def _quintic_row(x):
 
 
 _ZERO_K = (0, 0, 0, 0, 0, 0)
+_NO_PARAMS = MappingProxyType({})
 
 
-@dataclasses.dataclass(frozen=True)
-class _CaseData:
-    label: str
-    params: CaseParams
-    v_D: int
-    v_dK: int
-    k: tuple
-    rows: tuple
-
-
-def _unique_match(p, field, conds):
-    matched = [label for label, cond in conds if cond]
-    if len(matched) != 1:
-        raise InternalError(
-            f"case dispatch at p={p} for (a, b) = ({field.a}, {field.b}) "
-            f"matched {matched!r}; expected exactly one case"
-        )
-    return matched[0]
-
-
-def _expect(cond, label, message):
-    if not cond:
-        raise InternalError(f"case {label}: {message}")
+def _params(**values):
+    return MappingProxyType(values)
 
 
 # ---------------------------------------------------------------------------
-# the p = 2 table
+# row builders
+#
+# Parameter names: beta = -6b/(5a) is the translation point that resolves
+# the repeated linear factor in the deep-discriminant cases; delta is its
+# shifted variant for the even-discriminant branch at p = 2; s0, s1 are
+# the valuations of f and f' at beta; x0..x3 are least non-negative
+# solutions of the printed linear congruences, with k0..k3 their
+# exponents; eps is a unit sign; B = b/27; r0, r1 are the two valuations
+# steering the quintic 5-adic cases; m and row_solution size and fill the
+# single nontrivial row at p > 5.  A builder sets only the names its case
+# uses, in this order.
 
 
-def _case_p2(field):
-    a, b = field.a, field.b
-    vD = vp(field.D, 2)
-    D2 = field.D2
-    va, vb = vp(a, 2), vp(b, 2)
-    b4 = b % 4
-    bq = (b // 4) % 4 if (vb != INF and vb >= 2) else None
-    bs = (b // 16) % 4 if (vb != INF and vb >= 4) else None
+def _beta(c):
+    return Fraction(-6 * c.b, 5 * c.a)
 
-    conds = [
-        ("E1", va == 0),
-        ("E2", vb == 1 and va == 1),
-        ("E3", vb == 1 and va >= 2),
-        ("E4", vb >= 2 and va == 1),
-        ("E5", vb >= 3 and va == 2),
-        ("E6", vb == 3 and va == 3),
-        ("E7", vb == 3 and va >= 4),
-        ("E8", vb >= 4 and va == 3),
-        ("E9", vb >= 5 and va == 4),
-        ("E10", vb == 5 and va == 5),
-        ("E11", vb == 5 and va >= 6),
-        ("E12", va == 1 and b4 == 3),
-        ("E13", va == 1 and b4 == 1 and vD % 2 == 1),
-        # D2 mod 4 detects how far the dyadic double root refines: residue 3
-        # forces v2(f(delta)) >= 2u+2 (row denominator 2^(u+1) works), while
-        # residue 1 caps v2(f(delta)) at 2u+1 (denominator only 2^u).
-        ("E14", va == 1 and b4 == 1 and vD % 2 == 0 and D2 % 4 == 3),
-        ("E15", va == 1 and b4 == 1 and vD % 2 == 0 and D2 % 4 == 1),
-        ("E16", va >= 2 and b4 == 1),
-        ("E17", va >= 2 and b4 == 3),
-        ("E18", vb == 2 and va == 2),
-        ("E19", vb == 2 and va == 3 and bq == 3),
-        ("E20", vb == 2 and va >= 4 and bq == 3),
-        ("E21", vb == 2 and va >= 3 and bq == 1),
-        ("E22", vb == 4 and va == 4 and bs == 1),
-        ("E23", vb == 4 and va == 4 and bs == 3),
-        ("E24", vb == 4 and va == 5 and bs == 3),
-        ("E25", vb == 4 and va >= 6 and bs == 3),
-        ("E26", vb == 4 and va >= 5 and bs == 1),
-    ]
-    label = _unique_match(2, field, conds)
 
-    exact_vD = {
-        "E1": 0, "E2": 6, "E3": 11, "E4": 6, "E5": 12, "E6": 18, "E7": 21,
-        "E8": 18, "E9": 24, "E10": 30, "E11": 31, "E12": 7, "E16": 6,
-        "E17": 6, "E18": 12, "E19": 16, "E20": 16, "E21": 16, "E22": 24,
-        "E23": 24, "E24": 26, "E25": 26, "E26": 26,
+def _beta_residue(c, k5, shift=0):
+    # least x >= 0 with (5a*x + 6b)/p = shift mod p^k5; the deep rows at
+    # p = 2, 3, 5 have v_p(5a) = 1 and p | 6b, so shift = 0 gives beta
+    # reduced mod p^k5
+    return solve_linear_congruence(5 * c.a // c.p, 6 * c.b // c.p - shift, c.p ** k5)
+
+
+def _e13(c, k):
+    x = _beta_residue(c, k[5])
+    prm = _params(beta=_beta(c), s0=c.vD - 6, s1=c.vD - 5, x0=x, k0=k[5])
+    return {5: _quintic_row(x)}, prm
+
+
+def _e14(c, k):
+    u = (c.vD - 6) // 2
+    x = _beta_residue(c, k[5], shift=2 ** u)
+    prm = _params(beta=_beta(c), delta=Fraction(2 ** u - 3 * c.b, 5 * (c.a // 2)),
+                  s0=c.vD - 6, s1=c.vD - 5, u=u, x1=x, k1=k[5])
+    return {5: _quintic_row(x)}, prm
+
+
+def _e15(c, k):
+    u = (c.vD - 6) // 2
+    x = _beta_residue(c, k[5])
+    prm = _params(beta=_beta(c), delta=Fraction(2 ** u - 3 * c.b, 5 * (c.a // 2)),
+                  s0=c.vD - 6, s1=c.vD - 5, u=u, x2=x, k2=k[5])
+    return {5: _quintic_row(x)}, prm
+
+
+def _unit_sign_row(eps):
+    return {5: (eps, 1, eps, 1, eps)}, _params(eps=eps)
+
+
+def _triadic_rows(c, k):
+    # row 4 is (theta^4 - beta*theta^3 + beta*theta - 1)/3 with beta
+    # reduced mod 3; beta = 1/(a/3) there, so the odd-degree signs
+    # follow a mod 9 (theta -> -theta swaps the two branches)
+    sgn = 1 if c.a % 9 == 3 else -1
+    x = _beta_residue(c, k[5])
+    return x, {4: (-1, sgn, 0, -sgn), 5: _quintic_row(x)}
+
+
+def _f22(c, k):
+    x, rows = _triadic_rows(c, k)
+    return rows, _params(beta=_beta(c), s0=c.vD - 6, s1=c.vD - 5, x1=x)
+
+
+def _f23(c, k):
+    x, rows = _triadic_rows(c, k)
+    return rows, _params(beta=_beta(c), s0=c.vD - 6, s1=c.vD - 5, x2=x, k2=k[5])
+
+
+def _f24(c, k):
+    x, rows = _triadic_rows(c, k)
+    return rows, _params(beta=_beta(c), s0=c.vD - 6, s1=c.vD - 5, x3=x, k3=k[5])
+
+
+def _f26(c, k):
+    return {5: (0, 9 * c.B * c.B, 0, 6 * c.B, 0)}, _params(B=c.B)
+
+
+def _f27(c, k):
+    rows = {
+        3: (0, 3 * c.B, 0),
+        4: (9 * c.B * c.B, 0, 6 * c.B, 0),
+        5: (0, 9 * c.B * c.B, 0, 6 * c.B, 0),
     }
-    if label in exact_vD:
-        _expect(vD == exact_vD[label], label, f"v2(D) = {vD}, table says {exact_vD[label]}")
-
-    power = {"E1": 0, "E2": 6, "E3": 11, "E12": 7, "E16": 6}
-    if label in power:
-        return _CaseData(label, CaseParams(), vD, power[label], _ZERO_K, _rows())
-
-    plain = {
-        "E4": (4, (0, 0, 0, 0, 0, 1)),
-        "E5": (4, (0, 0, 0, 1, 1, 2)),
-        "E6": (6, (0, 0, 1, 1, 2, 2)),
-        "E7": (9, (0, 0, 1, 1, 2, 2)),
-        "E8": (4, (0, 0, 1, 1, 2, 3)),
-        "E9": (4, (0, 0, 1, 2, 3, 4)),
-        "E10": (10, (0, 0, 1, 2, 3, 4)),
-        "E11": (11, (0, 0, 1, 2, 3, 4)),
-        "E18": (6, (0, 0, 0, 1, 1, 1)),
-    }
-    if label in plain:
-        vdk, k = plain[label]
-        return _CaseData(label, CaseParams(), vD, vdk, k, _rows())
-
-    if label in ("E13", "E14", "E15"):
-        _expect(vD >= (9 if label == "E13" else 8), label, f"v2(D) = {vD} too small")
-        beta = Fraction(-6 * b, 5 * a)
-        s0, s1 = vD - 6, vD - 5
-        a2 = a // 2
-        if label == "E13":
-            k5 = (vD - 7) // 2
-            x = solve_linear_congruence(5 * a2, 3 * b, 2 ** k5)
-            params = CaseParams(beta=beta, s0=s0, s1=s1, k0=k5, x0=x)
-            vdk = 7
-        elif label == "E14":
-            k5 = (vD - 4) // 2
-            u = (vD - 6) // 2
-            delta = Fraction(2 ** u - 3 * b, 5 * a2)
-            x = solve_linear_congruence(5 * a2, 3 * b - 2 ** u, 2 ** k5)
-            params = CaseParams(beta=beta, delta=delta, s0=s0, s1=s1, u=u, k1=k5, x1=x)
-            vdk = 4
-        else:
-            k5 = (vD - 6) // 2
-            u = (vD - 6) // 2
-            delta = Fraction(2 ** u - 3 * b, 5 * a2)
-            x = solve_linear_congruence(5 * a2, 3 * b, 2 ** k5)
-            params = CaseParams(beta=beta, delta=delta, s0=s0, s1=s1, u=u, k2=k5, x2=x)
-            vdk = 6
-        k = (0, 0, 0, 0, 0, k5)
-        return _CaseData(label, params, vD, vdk, k, _rows(r5=_quintic_row(x)))
-
-    special = {
-        "E17": (0, (0, 0, 0, 1, 1, 1),
-                _rows(r3=(1, 0, 0), r4=(0, 1, 0, 0), r5=(0, 0, 1, 0, 0))),
-        "E19": (6, (0, 0, 0, 1, 2, 2),
-                _rows(r4=(0, 2, 0, 0), r5=(0, 0, 2, 0, 0))),
-        "E20": (4, (0, 0, 0, 2, 2, 2),
-                _rows(r3=(2, 0, 0), r4=(0, 2, 0, 0), r5=(0, 0, 2, 0, 0))),
-        "E21": (8, (0, 0, 0, 1, 1, 2), _rows(r5=(0, 0, 2, 0, 0))),
-        "E22": (4, (0, 0, 1, 2, 3, 4),
-                _rows(r4=(0, 4, 0, 0), r5=(0, 8, 4, 0, 0))),
-        "E23": (6, (0, 0, 1, 2, 3, 3),
-                _rows(r4=(0, 4, 0, 0), r5=(0, 0, 4, 0, 0))),
-        "E24": (6, (0, 0, 1, 2, 3, 4),
-                _rows(r4=(0, 4, 0, 0), r5=(0, 0, 4, 0, 0))),
-        "E25": (4, (0, 0, 1, 3, 3, 4),
-                _rows(r3=(4, 0, 0), r4=(0, 4, 0, 0), r5=(0, 0, 4, 0, 0))),
-        "E26": (8, (0, 0, 1, 2, 3, 3), _rows(r4=(0, 4, 0, 0))),
-    }
-    vdk, k, rows = special[label]
-    return _CaseData(label, CaseParams(), vD, vdk, k, rows)
+    return rows, _params(B=c.B)
 
 
-# ---------------------------------------------------------------------------
-# the p = 3 table
+def _g_power(c, k):
+    return {}, _params(r0=c.r0, r1=c.r1)
 
 
-def _case_p3(field):
-    a, b = field.a, field.b
-    vD = vp(field.D, 3)
-    va, vb = vp(a, 3), vp(b, 3)
-    b3 = b % 3
-    b9 = b % 9
-    if vb != INF and vb >= 3:
-        B = b // 27
-        vBB = vp(B ** 3 - B, 3)
-    else:
-        B = None
-        vBB = None
-
-    conds = [
-        ("F1", va == 0),
-        ("F2", vb == 1 and va == 1),
-        ("F3", vb == 1 and va >= 2),
-        ("F4", vb >= 2 and va == 1),
-        ("F5", vb == 2 and va == 2),
-        ("F6", vb == 2 and va >= 3),
-        ("F7", vb >= 3 and va == 2),
-        ("F8", vb >= 4 and va == 3),
-        ("F9", vb == 4 and va == 4),
-        ("F10", vb == 4 and va >= 5),
-        ("F11", vb >= 5 and va == 4),
-        ("F12", vb == 5 and va == 5),
-        ("F13", vb == 5 and va >= 6),
-        ("F14", va == 1 and b3 == 1),
-        ("F15", va >= 2 and vb == 0 and b9 in (4, 7)),
-        ("F16", va >= 2 and vb == 0 and b9 == 1),
-        ("F17", va >= 2 and vb == 0 and b9 in (2, 5)),
-        ("F18", va >= 2 and vb == 0 and b9 == 8),
-        ("F19", va == 1 and b9 == 2),
-        ("F20", va == 1 and b9 == 8),
-        ("F21", va == 1 and b9 == 5 and vD == 8),
-        ("F22", va == 1 and b9 == 5 and vD == 9),
-        ("F23", va == 1 and b9 == 5 and vD >= 10 and vD % 2 == 0),
-        ("F24", va == 1 and b9 == 5 and vD >= 11 and vD % 2 == 1),
-        ("F25", vb == 3 and va == 3),
-        ("F26", vb == 3 and va >= 4 and vBB == 1),
-        ("F27", vb == 3 and va >= 4 and (vBB is not None and vBB >= 2)),
-    ]
-    label = _unique_match(3, field, conds)
-
-    exact_vD = {
-        "F1": 0, "F2": 6, "F3": 11, "F4": 6, "F5": 12, "F6": 16, "F7": 12,
-        "F8": 18, "F9": 24, "F10": 26, "F11": 24, "F12": 30, "F13": 31,
-        "F14": 6, "F15": 6, "F16": 6, "F17": 6, "F18": 6, "F19": 7,
-        "F20": 7, "F25": 18, "F26": 21, "F27": 21,
-    }
-    if label in exact_vD:
-        _expect(vD == exact_vD[label], label, f"v3(D) = {vD}, table says {exact_vD[label]}")
-
-    power = {"F1": 0, "F2": 6, "F3": 11, "F14": 6, "F15": 6, "F17": 6, "F20": 7}
-    if label in power:
-        return _CaseData(label, CaseParams(), vD, power[label], _ZERO_K, _rows())
-
-    plain = {
-        "F4": (4, (0, 0, 0, 0, 0, 1)),
-        "F5": (6, (0, 0, 0, 1, 1, 1)),
-        "F6": (10, (0, 0, 0, 1, 1, 1)),
-        "F7": (4, (0, 0, 0, 1, 1, 2)),
-        "F8": (4, (0, 0, 1, 1, 2, 3)),
-        "F9": (8, (0, 0, 1, 2, 2, 3)),
-        "F10": (10, (0, 0, 1, 2, 2, 3)),
-        "F11": (4, (0, 0, 1, 2, 3, 4)),
-        "F12": (10, (0, 0, 1, 2, 3, 4)),
-        "F13": (11, (0, 0, 1, 2, 3, 4)),
-        "F25": (6, (0, 0, 1, 1, 2, 2)),
-    }
-    if label in plain:
-        vdk, k = plain[label]
-        return _CaseData(label, CaseParams(), vD, vdk, k, _rows())
-
-    if label == "F16":
-        rows = _rows(r4=(1, 0, -1, 0), r5=(0, 1, 0, -1, 0))
-        return _CaseData(label, CaseParams(), vD, 2, (0, 0, 0, 0, 1, 1), rows)
-    if label == "F18":
-        rows = _rows(r4=(1, 0, 1, 0), r5=(0, 1, 0, 1, 0))
-        return _CaseData(label, CaseParams(), vD, 2, (0, 0, 0, 0, 1, 1), rows)
-
-    if label == "F19":
-        # unit sign: -1 when a = 3 (mod 9), +1 when a = -3 (mod 9)
-        eps = -1 if a % 9 == 3 else 1
-        rows = _rows(r5=(eps, 1, eps, 1, eps))
-        return _CaseData(label, CaseParams(eps=eps), vD, 5, (0, 0, 0, 0, 0, 1), rows)
-    if label == "F21":
-        # unit sign: -1 when a = -3 (mod 9), +1 when a = 3 (mod 9)
-        eps = -1 if a % 9 == 6 else 1
-        rows = _rows(r5=(eps, 1, eps, 1, eps))
-        return _CaseData(label, CaseParams(eps=eps), vD, 6, (0, 0, 0, 0, 0, 1), rows)
-
-    if label in ("F22", "F23", "F24"):
-        beta = Fraction(-6 * b, 5 * a)
-        s0, s1 = vD - 6, vD - 5
-        a3 = a // 3
-        # row 4 is (theta^4 - beta*theta^3 + beta*theta - 1)/3 with beta
-        # reduced mod 3; beta = 1/(a/3) there, so the odd-degree signs
-        # follow a mod 9 (theta -> -theta swaps the two branches)
-        sgn = 1 if a % 9 == 3 else -1
-        quartic = (-1, sgn, 0, -sgn)
-        if label == "F22":
-            k5 = 2
-            x = solve_linear_congruence(5 * a3, 2 * b, 9)
-            params = CaseParams(beta=beta, s0=s0, s1=s1, x1=x)
-            vdk = 3
-        elif label == "F23":
-            k5 = (vD - 6) // 2
-            x = solve_linear_congruence(5 * a3, 2 * b, 3 ** k5)
-            params = CaseParams(beta=beta, s0=s0, s1=s1, k2=k5, x2=x)
-            vdk = 4
-        else:
-            k5 = (vD - 5) // 2
-            x = solve_linear_congruence(5 * a3, 2 * b, 3 ** k5)
-            params = CaseParams(beta=beta, s0=s0, s1=s1, k3=k5, x3=x)
-            vdk = 3
-        k = (0, 0, 0, 0, 1, k5)
-        rows = _rows(r4=quartic, r5=_quintic_row(x))
-        return _CaseData(label, params, vD, vdk, k, rows)
-
-    if label == "F26":
-        rows = _rows(r5=(0, 9 * B * B, 0, 6 * B, 0))
-        return _CaseData(label, CaseParams(B=B), vD, 7, (0, 0, 1, 1, 2, 3), rows)
-    if label == "F27":
-        rows = _rows(
-            r3=(0, 3 * B, 0),
-            r4=(9 * B * B, 0, 6 * B, 0),
-            r5=(0, 9 * B * B, 0, 6 * B, 0),
-        )
-        return _CaseData(label, CaseParams(B=B), vD, 3, (0, 0, 1, 2, 3, 3), rows)
-
-    raise InternalError(f"case {label}: no builder")  # pragma: no cover
+def _g_quintic(c, k):
+    return {5: (0, 1, -c.a ** 3, c.a * c.a, -c.a)}, _params(r0=c.r0, r1=c.r1)
 
 
-# ---------------------------------------------------------------------------
-# the p = 5 table
+def _g_rows(c, x):
+    return {4: (0, -4 * c.a ** 3, 3 * c.a * c.a, -2 * c.a), 5: _quintic_row(x)}
 
 
-def _case_p5(field):
-    a, b = field.a, field.b
-    vD = vp(field.D, 5)
-    va, vb = vp(a, 5), vp(b, 5)
-    if va == 0:
-        a4 = pow(a, 4, 25)
-        r0 = vp(b + a ** 6 - a * a, 5)
-        r1 = vp(a - 6 * a ** 5, 5)
-    else:
-        a4 = None
-        r0 = r1 = None
-    square_match = va == 0 and vb == 1 and (a * a - b // 5) % 5 == 0
-
-    conds = [
-        ("G1", vb == 0),
-        ("G2", vb == 1 and va == 0 and r0 == 1 and r1 == 1 and not square_match),
-        ("G3", vb == 1 and va == 0 and r0 == 1 and r1 == 1 and square_match),
-        ("G4", vb == 1 and va == 0 and r0 >= 2 and r1 == 1),
-        ("G5", vb == 1 and va == 0 and r0 == 1 and r1 >= 2),
-        ("G6", vb == 1 and va == 0 and r0 >= 2 and r1 >= 2 and vD % 2 == 1),
-        ("G7", vb == 1 and va == 0 and r0 >= 2 and r1 >= 2 and vD % 2 == 0),
-        ("G8", vb == 1 and va >= 1),
-        ("G9", vb >= 2 and va == 0 and a4 != 1),
-        ("G10", vb >= 2 and va == 0 and a4 == 1),
-        ("G11", vb == 2 and va == 1),
-        ("G12", vb == 2 and va >= 2),
-        ("G13", vb >= 3 and va == 1),
-        ("G14", vb == 3 and va == 2),
-        ("G15", vb == 3 and va >= 3),
-        ("G16", vb >= 4 and va == 2),
-        ("G17", vb == 4 and va == 3),
-        ("G18", vb == 4 and va >= 4),
-        ("G19", vb >= 5 and va == 3),
-        ("G20", vb == 5 and va == 4),
-        ("G21", vb == 5 and va >= 5),
-        ("G22", vb >= 6 and va == 4),
-    ]
-    label = _unique_match(5, field, conds)
-
-    exact_vD = {
-        "G1": 0, "G2": 5, "G3": 6, "G4": 5, "G5": 5, "G8": 5, "G9": 5,
-        "G10": 5, "G11": 10, "G12": 10, "G13": 11, "G14": 15, "G15": 15,
-        "G16": 17, "G17": 20, "G18": 20, "G19": 23, "G20": 25, "G21": 25,
-        "G22": 29,
-    }
-    if label in exact_vD:
-        _expect(vD == exact_vD[label], label, f"v5(D) = {vD}, table says {exact_vD[label]}")
-
-    rparams = CaseParams(r0=r0, r1=r1) if va == 0 and vb != INF and vb >= 1 else CaseParams()
-
-    power = {"G1": 0, "G2": 5, "G3": 6, "G5": 5, "G8": 5, "G9": 5}
-    if label in power:
-        return _CaseData(label, rparams, vD, power[label], _ZERO_K, _rows())
-
-    if label in ("G4", "G10"):
-        rows = _rows(r5=(0, 1, -a ** 3, a * a, -a))
-        return _CaseData(label, rparams, vD, 3, (0, 0, 0, 0, 0, 1), rows)
-
-    if label in ("G6", "G7"):
-        _expect(vD >= (7 if label == "G6" else 8), label, f"v5(D) = {vD} too small")
-        beta = Fraction(-6 * b, 5 * a)
-        s = vD - 5
-        quartic = (0, -4 * a ** 3, 3 * a * a, -2 * a)
-        if label == "G6":
-            k5 = (vD - 5) // 2
-            x = solve_linear_congruence(a, 6 * (b // 5), 5 ** k5)
-            params = dataclasses.replace(rparams, beta=beta, s0=s, s1=s, k0=k5, x0=x)
-            vdk = 3
-        else:
-            k5 = (vD - 4) // 2
-            x = solve_linear_congruence(a, 6 * (b // 5), 5 ** k5)
-            params = dataclasses.replace(rparams, beta=beta, s0=s, s1=s, k1=k5, x1=x)
-            vdk = 2
-        k = (0, 0, 0, 0, 1, k5)
-        rows = _rows(r4=quartic, r5=_quintic_row(x))
-        return _CaseData(label, params, vD, vdk, k, rows)
-
-    plain = {
-        "G11": (8, (0, 0, 0, 0, 0, 1)),
-        "G12": (4, (0, 0, 0, 1, 1, 1)),
-        "G13": (9, (0, 0, 0, 0, 0, 1)),
-        "G14": (7, (0, 0, 0, 1, 1, 2)),
-        "G15": (3, (0, 0, 1, 1, 2, 2)),
-        "G16": (9, (0, 0, 0, 1, 1, 2)),
-        "G17": (6, (0, 0, 1, 1, 2, 3)),
-        "G18": (4, (0, 0, 1, 2, 2, 3)),
-        "G19": (9, (0, 0, 1, 1, 2, 3)),
-        "G20": (5, (0, 0, 1, 2, 3, 4)),
-        "G21": (5, (0, 0, 1, 2, 3, 4)),
-        "G22": (9, (0, 0, 1, 2, 3, 4)),
-    }
-    vdk, k = plain[label]
-    return _CaseData(label, CaseParams(), vD, vdk, k, _rows())
+def _g6(c, k):
+    x = _beta_residue(c, k[5])
+    s = c.vD - 5
+    return _g_rows(c, x), _params(beta=_beta(c), s0=s, s1=s, x0=x, r0=c.r0, r1=c.r1, k0=k[5])
 
 
-# ---------------------------------------------------------------------------
-# the table for primes above 5
+def _g7(c, k):
+    x = _beta_residue(c, k[5])
+    s = c.vD - 5
+    return _g_rows(c, x), _params(beta=_beta(c), s0=s, s1=s, x1=x, r0=c.r0, r1=c.r1, k1=k[5])
 
 
-def _case_large(p, field):
-    a, b = field.a, field.b
-    vD = vp(field.D, p)
-    va, vb = vp(a, p), vp(b, p)
-
-    conds = [
-        ("H1", (vb == 0 and va >= 1) or (va == 0 and vb >= 1)),
-        ("H2", vb == 1 and va >= 1),
-        ("H3", va == 1 and vb >= 2),
-        ("H4", vb == 2 and va >= 2),
-        ("H5", va == 2 and vb >= 3),
-        ("H6", vb == 3 and va >= 3),
-        ("H7", va == 3 and vb >= 4),
-        ("H8", vb == 4 and va >= 4),
-        ("H9", va == 4 and vb >= 5),
-        ("H10", vb == 5 and va >= 5),
-        ("H11", va == 0 and vb == 0 and vD % 2 == 0),
-        ("H12", va == 0 and vb == 0 and vD % 2 == 1),
-    ]
-    label = _unique_match(p, field, conds)
-
-    exact_vD = {
-        "H1": 0, "H2": 5, "H3": 6, "H4": 10, "H5": 12, "H6": 15, "H7": 18,
-        "H8": 20, "H9": 24, "H10": 25,
-    }
-    if label in exact_vD:
-        _expect(vD == exact_vD[label], label, f"v_{p}(D) = {vD}, table says {exact_vD[label]}")
-
-    if label in ("H1", "H2"):
-        return _CaseData(label, CaseParams(), vD, vD, _ZERO_K, _rows())
-
-    plain = {
-        "H3": (4, (0, 0, 0, 0, 0, 1)),
-        "H4": (4, (0, 0, 0, 1, 1, 1)),
-        "H5": (4, (0, 0, 0, 1, 1, 2)),
-        "H6": (3, (0, 0, 1, 1, 2, 2)),
-        "H7": (4, (0, 0, 1, 1, 2, 3)),
-        "H8": (4, (0, 0, 1, 2, 2, 3)),
-        "H9": (4, (0, 0, 1, 2, 3, 4)),
-        "H10": (5, (0, 0, 1, 2, 3, 4)),
-    }
-    if label in plain:
-        vdk, k = plain[label]
-        return _CaseData(label, CaseParams(), vD, vdk, k, _rows())
-
-    # H11 / H12: one deep row whose five coefficients solve, mod p^m,
+def _h_deep(c, k):
+    # one deep row whose five coefficients solve, mod p^m,
     #   6x = 5a, (5a)^4 y = (6b)^4, (5a)^3 z = -(6b)^3,
     #   (5a)^2 v = (6b)^2, 5a w = -6b.
-    m = vD // 2 if label == "H11" else (vD - 1) // 2
-    mod = p ** m
-    A5, B6 = 5 * a, 6 * b
+    m = k[5]
+    mod = c.p ** m
+    A5, B6 = 5 * c.a, 6 * c.b
     x = solve_linear_congruence(6, -A5, mod)
     y = solve_linear_congruence(A5 ** 4, -(B6 ** 4), mod)
     z = solve_linear_congruence(A5 ** 3, B6 ** 3, mod)
     v = solve_linear_congruence(A5 ** 2, -(B6 ** 2), mod)
     w = solve_linear_congruence(A5, B6, mod)
-    beta = Fraction(-6 * b, 5 * a)
-    params = CaseParams(beta=beta, m=m, row_solution=(x, y, z, v, w))
-    vdk = 0 if label == "H11" else 1
-    k = (0, 0, 0, 0, 0, m)
-    rows = _rows(r5=(x, y, z, v, w))
-    return _CaseData(label, params, vD, vdk, k, rows)
+    return {5: (x, y, z, v, w)}, _params(beta=_beta(c), m=m, row_solution=(x, y, z, v, w))
 
 
 # ---------------------------------------------------------------------------
-# public dispatch
+# the tables: (label, predicate, exact v_p(D) or None, v_p(d_K), k, rows)
+
+_DEEP_K = (0, 0, 0, 0, 0, None)
+_DEEP_K4 = (0, 0, 0, 0, 1, None)
+
+_TABLE_2 = (
+    ("E1", lambda c: c.va == 0, 0, 0, _ZERO_K, {}),
+    ("E2", lambda c: c.vb == 1 and c.va == 1, 6, 6, _ZERO_K, {}),
+    ("E3", lambda c: c.vb == 1 and c.va >= 2, 11, 11, _ZERO_K, {}),
+    ("E4", lambda c: c.vb >= 2 and c.va == 1, 6, 4, (0, 0, 0, 0, 0, 1), {}),
+    ("E5", lambda c: c.vb >= 3 and c.va == 2, 12, 4, (0, 0, 0, 1, 1, 2), {}),
+    ("E6", lambda c: c.vb == 3 and c.va == 3, 18, 6, (0, 0, 1, 1, 2, 2), {}),
+    ("E7", lambda c: c.vb == 3 and c.va >= 4, 21, 9, (0, 0, 1, 1, 2, 2), {}),
+    ("E8", lambda c: c.vb >= 4 and c.va == 3, 18, 4, (0, 0, 1, 1, 2, 3), {}),
+    ("E9", lambda c: c.vb >= 5 and c.va == 4, 24, 4, (0, 0, 1, 2, 3, 4), {}),
+    ("E10", lambda c: c.vb == 5 and c.va == 5, 30, 10, (0, 0, 1, 2, 3, 4), {}),
+    ("E11", lambda c: c.vb == 5 and c.va >= 6, 31, 11, (0, 0, 1, 2, 3, 4), {}),
+    ("E12", lambda c: c.va == 1 and c.b4 == 3, 7, 7, _ZERO_K, {}),
+    ("E13", lambda c: c.va == 1 and c.b4 == 1 and c.vD % 2 == 1, None, 7, _DEEP_K, _e13),
+    # D2 mod 4 detects how far the dyadic double root refines: residue 3
+    # forces v2(f(delta)) >= 2u+2 (row denominator 2^(u+1) works), while
+    # residue 1 caps v2(f(delta)) at 2u+1 (denominator only 2^u).
+    ("E14", lambda c: c.va == 1 and c.b4 == 1 and c.vD % 2 == 0 and c.D2 % 4 == 3,
+     None, 4, _DEEP_K, _e14),
+    ("E15", lambda c: c.va == 1 and c.b4 == 1 and c.vD % 2 == 0 and c.D2 % 4 == 1,
+     None, 6, _DEEP_K, _e15),
+    ("E16", lambda c: c.va >= 2 and c.b4 == 1, 6, 6, _ZERO_K, {}),
+    ("E17", lambda c: c.va >= 2 and c.b4 == 3, 6, 0, (0, 0, 0, 1, 1, 1),
+     {3: (1, 0, 0), 4: (0, 1, 0, 0), 5: (0, 0, 1, 0, 0)}),
+    ("E18", lambda c: c.vb == 2 and c.va == 2, 12, 6, (0, 0, 0, 1, 1, 1), {}),
+    ("E19", lambda c: c.vb == 2 and c.va == 3 and c.bq == 3, 16, 6, (0, 0, 0, 1, 2, 2),
+     {4: (0, 2, 0, 0), 5: (0, 0, 2, 0, 0)}),
+    ("E20", lambda c: c.vb == 2 and c.va >= 4 and c.bq == 3, 16, 4, (0, 0, 0, 2, 2, 2),
+     {3: (2, 0, 0), 4: (0, 2, 0, 0), 5: (0, 0, 2, 0, 0)}),
+    ("E21", lambda c: c.vb == 2 and c.va >= 3 and c.bq == 1, 16, 8, (0, 0, 0, 1, 1, 2),
+     {5: (0, 0, 2, 0, 0)}),
+    ("E22", lambda c: c.vb == 4 and c.va == 4 and c.bs == 1, 24, 4, (0, 0, 1, 2, 3, 4),
+     {4: (0, 4, 0, 0), 5: (0, 8, 4, 0, 0)}),
+    ("E23", lambda c: c.vb == 4 and c.va == 4 and c.bs == 3, 24, 6, (0, 0, 1, 2, 3, 3),
+     {4: (0, 4, 0, 0), 5: (0, 0, 4, 0, 0)}),
+    ("E24", lambda c: c.vb == 4 and c.va == 5 and c.bs == 3, 26, 6, (0, 0, 1, 2, 3, 4),
+     {4: (0, 4, 0, 0), 5: (0, 0, 4, 0, 0)}),
+    ("E25", lambda c: c.vb == 4 and c.va >= 6 and c.bs == 3, 26, 4, (0, 0, 1, 3, 3, 4),
+     {3: (4, 0, 0), 4: (0, 4, 0, 0), 5: (0, 0, 4, 0, 0)}),
+    ("E26", lambda c: c.vb == 4 and c.va >= 5 and c.bs == 1, 26, 8, (0, 0, 1, 2, 3, 3),
+     {4: (0, 4, 0, 0)}),
+)
+
+_TABLE_3 = (
+    ("F1", lambda c: c.va == 0, 0, 0, _ZERO_K, {}),
+    ("F2", lambda c: c.vb == 1 and c.va == 1, 6, 6, _ZERO_K, {}),
+    ("F3", lambda c: c.vb == 1 and c.va >= 2, 11, 11, _ZERO_K, {}),
+    ("F4", lambda c: c.vb >= 2 and c.va == 1, 6, 4, (0, 0, 0, 0, 0, 1), {}),
+    ("F5", lambda c: c.vb == 2 and c.va == 2, 12, 6, (0, 0, 0, 1, 1, 1), {}),
+    ("F6", lambda c: c.vb == 2 and c.va >= 3, 16, 10, (0, 0, 0, 1, 1, 1), {}),
+    ("F7", lambda c: c.vb >= 3 and c.va == 2, 12, 4, (0, 0, 0, 1, 1, 2), {}),
+    ("F8", lambda c: c.vb >= 4 and c.va == 3, 18, 4, (0, 0, 1, 1, 2, 3), {}),
+    ("F9", lambda c: c.vb == 4 and c.va == 4, 24, 8, (0, 0, 1, 2, 2, 3), {}),
+    ("F10", lambda c: c.vb == 4 and c.va >= 5, 26, 10, (0, 0, 1, 2, 2, 3), {}),
+    ("F11", lambda c: c.vb >= 5 and c.va == 4, 24, 4, (0, 0, 1, 2, 3, 4), {}),
+    ("F12", lambda c: c.vb == 5 and c.va == 5, 30, 10, (0, 0, 1, 2, 3, 4), {}),
+    ("F13", lambda c: c.vb == 5 and c.va >= 6, 31, 11, (0, 0, 1, 2, 3, 4), {}),
+    ("F14", lambda c: c.va == 1 and c.b3 == 1, 6, 6, _ZERO_K, {}),
+    ("F15", lambda c: c.va >= 2 and c.vb == 0 and c.b9 in (4, 7), 6, 6, _ZERO_K, {}),
+    ("F16", lambda c: c.va >= 2 and c.vb == 0 and c.b9 == 1, 6, 2, (0, 0, 0, 0, 1, 1),
+     {4: (1, 0, -1, 0), 5: (0, 1, 0, -1, 0)}),
+    ("F17", lambda c: c.va >= 2 and c.vb == 0 and c.b9 in (2, 5), 6, 6, _ZERO_K, {}),
+    ("F18", lambda c: c.va >= 2 and c.vb == 0 and c.b9 == 8, 6, 2, (0, 0, 0, 0, 1, 1),
+     {4: (1, 0, 1, 0), 5: (0, 1, 0, 1, 0)}),
+    # unit sign: -1 when a = 3 (mod 9), +1 when a = -3 (mod 9)
+    ("F19", lambda c: c.va == 1 and c.b9 == 2, 7, 5, (0, 0, 0, 0, 0, 1),
+     lambda c, k: _unit_sign_row(-1 if c.a % 9 == 3 else 1)),
+    ("F20", lambda c: c.va == 1 and c.b9 == 8, 7, 7, _ZERO_K, {}),
+    # unit sign: -1 when a = -3 (mod 9), +1 when a = 3 (mod 9)
+    ("F21", lambda c: c.va == 1 and c.b9 == 5 and c.vD == 8, None, 6, (0, 0, 0, 0, 0, 1),
+     lambda c, k: _unit_sign_row(-1 if c.a % 9 == 6 else 1)),
+    ("F22", lambda c: c.va == 1 and c.b9 == 5 and c.vD == 9, None, 3, (0, 0, 0, 0, 1, 2),
+     _f22),
+    ("F23", lambda c: c.va == 1 and c.b9 == 5 and c.vD >= 10 and c.vD % 2 == 0,
+     None, 4, _DEEP_K4, _f23),
+    ("F24", lambda c: c.va == 1 and c.b9 == 5 and c.vD >= 11 and c.vD % 2 == 1,
+     None, 3, _DEEP_K4, _f24),
+    ("F25", lambda c: c.vb == 3 and c.va == 3, 18, 6, (0, 0, 1, 1, 2, 2), {}),
+    ("F26", lambda c: c.vb == 3 and c.va >= 4 and c.vBB == 1, 21, 7, (0, 0, 1, 1, 2, 3),
+     _f26),
+    ("F27", lambda c: c.vb == 3 and c.va >= 4 and (c.vBB is not None and c.vBB >= 2),
+     21, 3, (0, 0, 1, 2, 3, 3), _f27),
+)
+
+_TABLE_5 = (
+    ("G1", lambda c: c.vb == 0, 0, 0, _ZERO_K, {}),
+    ("G2", lambda c: c.vb == 1 and c.va == 0 and c.r0 == 1 and c.r1 == 1
+     and not c.square_match, 5, 5, _ZERO_K, _g_power),
+    ("G3", lambda c: c.vb == 1 and c.va == 0 and c.r0 == 1 and c.r1 == 1
+     and c.square_match, 6, 6, _ZERO_K, _g_power),
+    ("G4", lambda c: c.vb == 1 and c.va == 0 and c.r0 >= 2 and c.r1 == 1,
+     5, 3, (0, 0, 0, 0, 0, 1), _g_quintic),
+    ("G5", lambda c: c.vb == 1 and c.va == 0 and c.r0 == 1 and c.r1 >= 2,
+     5, 5, _ZERO_K, _g_power),
+    ("G6", lambda c: c.vb == 1 and c.va == 0 and c.r0 >= 2 and c.r1 >= 2 and c.vD % 2 == 1,
+     None, 3, _DEEP_K4, _g6),
+    ("G7", lambda c: c.vb == 1 and c.va == 0 and c.r0 >= 2 and c.r1 >= 2 and c.vD % 2 == 0,
+     None, 2, _DEEP_K4, _g7),
+    ("G8", lambda c: c.vb == 1 and c.va >= 1, 5, 5, _ZERO_K, {}),
+    ("G9", lambda c: c.vb >= 2 and c.va == 0 and c.a4 != 1, 5, 5, _ZERO_K, _g_power),
+    ("G10", lambda c: c.vb >= 2 and c.va == 0 and c.a4 == 1, 5, 3, (0, 0, 0, 0, 0, 1),
+     _g_quintic),
+    ("G11", lambda c: c.vb == 2 and c.va == 1, 10, 8, (0, 0, 0, 0, 0, 1), {}),
+    ("G12", lambda c: c.vb == 2 and c.va >= 2, 10, 4, (0, 0, 0, 1, 1, 1), {}),
+    ("G13", lambda c: c.vb >= 3 and c.va == 1, 11, 9, (0, 0, 0, 0, 0, 1), {}),
+    ("G14", lambda c: c.vb == 3 and c.va == 2, 15, 7, (0, 0, 0, 1, 1, 2), {}),
+    ("G15", lambda c: c.vb == 3 and c.va >= 3, 15, 3, (0, 0, 1, 1, 2, 2), {}),
+    ("G16", lambda c: c.vb >= 4 and c.va == 2, 17, 9, (0, 0, 0, 1, 1, 2), {}),
+    ("G17", lambda c: c.vb == 4 and c.va == 3, 20, 6, (0, 0, 1, 1, 2, 3), {}),
+    ("G18", lambda c: c.vb == 4 and c.va >= 4, 20, 4, (0, 0, 1, 2, 2, 3), {}),
+    ("G19", lambda c: c.vb >= 5 and c.va == 3, 23, 9, (0, 0, 1, 1, 2, 3), {}),
+    ("G20", lambda c: c.vb == 5 and c.va == 4, 25, 5, (0, 0, 1, 2, 3, 4), {}),
+    ("G21", lambda c: c.vb == 5 and c.va >= 5, 25, 5, (0, 0, 1, 2, 3, 4), {}),
+    ("G22", lambda c: c.vb >= 6 and c.va == 4, 29, 9, (0, 0, 1, 2, 3, 4), {}),
+)
+
+_TABLE_LARGE = (
+    ("H1", lambda c: (c.vb == 0 and c.va >= 1) or (c.va == 0 and c.vb >= 1),
+     0, 0, _ZERO_K, {}),
+    ("H2", lambda c: c.vb == 1 and c.va >= 1, 5, 5, _ZERO_K, {}),
+    ("H3", lambda c: c.va == 1 and c.vb >= 2, 6, 4, (0, 0, 0, 0, 0, 1), {}),
+    ("H4", lambda c: c.vb == 2 and c.va >= 2, 10, 4, (0, 0, 0, 1, 1, 1), {}),
+    ("H5", lambda c: c.va == 2 and c.vb >= 3, 12, 4, (0, 0, 0, 1, 1, 2), {}),
+    ("H6", lambda c: c.vb == 3 and c.va >= 3, 15, 3, (0, 0, 1, 1, 2, 2), {}),
+    ("H7", lambda c: c.va == 3 and c.vb >= 4, 18, 4, (0, 0, 1, 1, 2, 3), {}),
+    ("H8", lambda c: c.vb == 4 and c.va >= 4, 20, 4, (0, 0, 1, 2, 2, 3), {}),
+    ("H9", lambda c: c.va == 4 and c.vb >= 5, 24, 4, (0, 0, 1, 2, 3, 4), {}),
+    ("H10", lambda c: c.vb == 5 and c.va >= 5, 25, 5, (0, 0, 1, 2, 3, 4), {}),
+    ("H11", lambda c: c.va == 0 and c.vb == 0 and c.vD % 2 == 0, None, 0, _DEEP_K, _h_deep),
+    ("H12", lambda c: c.va == 0 and c.vb == 0 and c.vD % 2 == 1, None, 1, _DEEP_K, _h_deep),
+)
+
+_TABLES = {2: _TABLE_2, 3: _TABLE_3, 5: _TABLE_5}
+
+CASE_LABELS = tuple(
+    row[0] for table in (_TABLE_2, _TABLE_3, _TABLE_5, _TABLE_LARGE) for row in table
+)
+
+# Cases whose index count is certified by squarefree residual polynomials,
+# so the polygon machinery reproduces sum(k_i) exactly.
+REGULAR_ROUTE = frozenset(
+    [f"E{i}" for i in range(2, 17)]
+    + [f"F{i}" for i in range(2, 25)]
+    + [f"G{i}" for i in range(2, 23)]
+    + [f"H{i}" for i in range(2, 13)]
+)
 
 
-_TRIVIAL_LABEL = {2: "E1", 3: "F1", 5: "G1"}
+# ---------------------------------------------------------------------------
+# the evaluator
 
 
-def _case_data(p, field) -> _CaseData:
+def _local_data(p, field, vD):
+    """Valuations and residues of (a, b) at p that the table of p reads."""
+    a, b = field.a, field.b
+    va, vb = vp(a, p), vp(b, p)
+    c = SimpleNamespace(p=p, a=a, b=b, va=va, vb=vb, vD=vD)
+    if p == 2:
+        c.D2 = field.D2
+        c.b4 = b % 4
+        c.bq = (b // 4) % 4 if vb >= 2 else None
+        c.bs = (b // 16) % 4 if vb >= 4 else None
+    elif p == 3:
+        c.b3, c.b9 = b % 3, b % 9
+        c.B = b // 27 if vb >= 3 else None
+        c.vBB = vp(c.B ** 3 - c.B, 3) if vb >= 3 else None
+    elif p == 5:
+        if va == 0:
+            c.a4 = pow(a, 4, 25)
+            c.r0 = vp(b + a ** 6 - a * a, 5)
+            c.r1 = vp(a - 6 * a ** 5, 5)
+        else:
+            c.a4 = c.r0 = c.r1 = None
+        c.square_match = va == 0 and vb == 1 and (a * a - b // 5) % 5 == 0
+    return c
+
+
+def p_integral_basis(p: int, field: TrinomialField) -> PAdicBasis:
+    """Triangular basis of the p-maximal order containing Z[theta].
+
+    The one evaluator of the case tables: exactly one row of the table
+    of p must match, and its v_p(D), index relation and exponent vector
+    are checked before its builder runs.  When p does not divide D the
+    block's trivial case is returned without consulting the predicates.
+    """
+    table = _TABLES.get(p, _TABLE_LARGE)
     vD = vp(field.D, p)
     if vD == 0:
-        # p does not divide D: Z[theta] is already p-maximal and the
-        # table predicates need not be consulted.
-        label = _TRIVIAL_LABEL.get(p, "H1")
-        return _CaseData(label, CaseParams(), 0, 0, _ZERO_K, _rows())
-    if p == 2:
-        data = _case_p2(field)
-    elif p == 3:
-        data = _case_p3(field)
-    elif p == 5:
-        data = _case_p5(field)
-    else:
-        data = _case_large(p, field)
-    if 2 * sum(data.k) + data.v_dK != data.v_D:
+        # p does not divide D: Z[theta] is already p-maximal, the block's
+        # first row
+        return PAdicBasis(p, table[0][0], _NO_PARAMS, _ZERO_K, _rows({}), 0, 0)
+    c = _local_data(p, field, vD)
+    matched = [row for row in table if row[1](c)]
+    if len(matched) != 1:
         raise InternalError(
-            f"case {data.label}: 2*{sum(data.k)} + {data.v_dK} != v_p(D) = {data.v_D}"
+            f"case dispatch at p={p} for (a, b) = ({field.a}, {field.b}) "
+            f"matched {[row[0] for row in matched]!r}; expected exactly one case"
         )
-    if data.k[0] != 0 or any(data.k[i] > data.k[i + 1] for i in range(5)):
-        raise InternalError(f"case {data.label}: exponent vector {data.k} not monotone")
-    return data
+    label, _, exact_vD, v_dK, k, rows = matched[0]
+    if exact_vD is not None and vD != exact_vD:
+        raise InternalError(f"case {label}: v_{p}(D) = {vD}, table says {exact_vD}")
+    if k[5] is None:
+        k = k[:5] + ((vD - v_dK) // 2 - sum(k[:5]),)
+    if 2 * sum(k) + v_dK != vD:
+        raise InternalError(f"case {label}: 2*{sum(k)} + {v_dK} != v_p(D) = {vD}")
+    if k[0] != 0 or any(k[i] > k[i + 1] for i in range(5)):
+        raise InternalError(f"case {label}: exponent vector {k} not monotone")
+    params = _NO_PARAMS
+    if callable(rows):
+        rows, params = rows(c, k)
+    rows = reduce_triangular_rows(_rows(rows), tuple(p ** e for e in k))
+    return PAdicBasis(p, label, params, k, rows, vD, v_dK)
 
 
 def classify(p: int, field: TrinomialField):
     """(case label, parameters) for the prime p.
 
     Exactly one of the 87 cases matches a normalized (a, b); zero or
-    multiple matches raise InternalError.  When p does not divide D the
-    block's trivial case is returned without consulting the predicates.
+    multiple matches raise InternalError.  The parameters are a
+    read-only mapping holding only the names the case sets (see the row
+    builders), in a fixed order.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    data = _case_data(p, field)
-    return data.label, data.params
+    pb = p_integral_basis(p, field)
+    return pb.case, pb.params
 
 
-def p_integral_basis(p: int, field: TrinomialField) -> PAdicBasis:
-    """Triangular basis of the p-maximal order containing Z[theta]."""
-    data = _case_data(p, field)
-    dens = tuple(p ** e for e in data.k)
-    rows = reduce_triangular_rows(data.rows, dens)
-    return PAdicBasis(
-        p=p,
-        case=data.label,
-        params=data.params,
-        k=data.k,
-        rows=rows,
-        v_D=data.v_D,
-        v_dK=data.v_dK,
-    )
-
-
-def ore_translations(case: str, params: CaseParams):
+def ore_translations(params):
     """Translation points that resolve the case's repeated linear factor.
 
     Feeding these to the polygon machinery reproduces the exact index
-    valuation for every case on the regular route; cases not listed
-    need no translation.
+    valuation for every case on the regular route.  They are delta where
+    the case sets it (at p = 2 beta alone leaves a repeated residual
+    root; the polygon only separates once the root is refined to delta),
+    else beta where the case sets it; other cases need no translation.
     """
-    if case in ("E13", "F22", "F23", "F24", "G6", "G7", "H11", "H12"):
-        return (params.beta,)
-    if case in ("E14", "E15"):
-        # beta alone leaves a repeated residual root at p = 2; the
-        # polygon only separates once the root is refined to delta
-        return (params.delta,)
+    for name in ("delta", "beta"):
+        if name in params:
+            return (params[name],)
     return ()
 
 
@@ -1037,6 +851,7 @@ def irreducibility_check(field: TrinomialField, factor_budget: int = 2_000_000) 
             return IrreducibilityReport("reducible", "rational root", Poly((-r, 1)))
 
     possible = {1, 2, 3, 4, 5}
+    fact = None  # the factorization of b, computed at most once
     forced = 1
     forcing = []
     for p in _DIRECT_PRIMES:
@@ -1059,24 +874,23 @@ def irreducibility_check(field: TrinomialField, factor_budget: int = 2_000_000) 
             )
         # only factors of degree forced (<= 3) can exist; look for one
         fact = factor(b, budget=factor_budget)
-        if fact.complete:
-            divisors = _divisor_list(fact)
-            if divisors is not None:
-                if forced == 3:
-                    witness = _cubic_factor(f, a, b, divisors)
-                else:
-                    witness = _quadratic_factor(f, a, b, divisors)
-                if witness is not None:
-                    return IrreducibilityReport(
-                        "reducible",
-                        f"explicit degree-{witness.degree} factor",
-                        witness,
-                    )
+        divisors = _divisor_list(fact) if fact.complete else None
+        if divisors is not None:
+            if forced == 3:
+                witness = _cubic_factor(f, a, b, divisors)
+            else:
+                witness = _quadratic_factor(f, a, b, divisors)
+            if witness is not None:
                 return IrreducibilityReport(
-                    "irreducible",
-                    f"ramification at {at} forces factor degrees divisible "
-                    f"by {forced}, and no degree-{forced} factor exists",
+                    "reducible",
+                    f"explicit degree-{witness.degree} factor",
+                    witness,
                 )
+            return IrreducibilityReport(
+                "irreducible",
+                f"ramification at {at} forces factor degrees divisible "
+                f"by {forced}, and no degree-{forced} factor exists",
+            )
 
     for p in _DIRECT_PRIMES:
         _, facs = factor_mod_p(f, p)
@@ -1102,13 +916,14 @@ def irreducibility_check(field: TrinomialField, factor_budget: int = 2_000_000) 
         )
 
     need = sorted({min(dgr, 6 - dgr) for dgr in possible})
-    fact = factor(b, budget=factor_budget)
+    if fact is None:
+        fact = factor(b, budget=factor_budget)
+        divisors = _divisor_list(fact) if fact.complete else None
     if not fact.complete:
         return IrreducibilityReport(
             "unknown",
             f"factor search needs the divisors of b, but {fact.cofactor} resisted the budget",
         )
-    divisors = _divisor_list(fact)
     if divisors is None:
         return IrreducibilityReport(
             "unknown", "b has too many divisors for the exhaustive factor search"

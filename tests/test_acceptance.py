@@ -194,7 +194,7 @@ def test_ore_oracle_agreement():
     for label, p, field, params, pb in _sweep():
         if label not in REGULAR_ROUTE:
             continue
-        total, attained = ore_index(field.f, p, ore_translations(label, params))
+        total, attained = ore_index(field.f, p, ore_translations(params))
         assert attained, (label, field.a, field.b)
         assert total == sum(pb.k), (label, field.a, field.b)
         checked += 1

@@ -1,10 +1,14 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from sexticfield import cli
 from sexticfield.cli import run
+from sexticfield.sextic import CASE_LABELS, p_integral_basis
+
+from casegen import instance
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -99,6 +103,8 @@ def test_usage_errors_exit_64(capsys):
         ["--b", "1"],                        # missing --a
         ["--a", "1", "--b", "2", "--prime", "6"],
         ["--a", "1", "--b", "2", "--factor-budget", "-1"],
+        # D has about 4800 digits, past the int-to-str limit of 4300
+        ["--a", str(10 ** 800 + 1), "--b", "3"],
     ):
         code, out, err = _capture(capsys, argv)
         assert code == 64
@@ -197,6 +203,23 @@ def test_json_matches_golden(capsys, a, b, mode):
     assert code == 0
     assert err == ""
     assert out == (GOLDEN / f"a{a}_b{b}_{mode}.json").read_text()
+
+
+def _case_entries():
+    """Two seeded instances of every case with their --explain entry."""
+    rng = random.Random(87)
+    out = []
+    for label in CASE_LABELS:
+        for _ in range(2):
+            p, F = instance(label, rng)
+            entry = cli._prime_entry(p_integral_basis(p, F), F.f, explain=True)
+            out.append({"a": str(F.a), "b": str(F.b), "entry": entry})
+    return json.dumps(out, indent=2) + "\n"
+
+
+def test_case_entries_match_golden():
+    """Per-case label, valuations, k, params, rows and polygons are pinned."""
+    assert _case_entries() == (GOLDEN / "case_entries.json").read_text()
 
 
 def test_unexpected_exception_exits_1_without_traceback(capsys, monkeypatch):

@@ -7,12 +7,10 @@ from sexticfield.exact import INF
 from sexticfield.newton import (
     Edge,
     build_polygon,
-    integral_quotients,
-    is_p_regular,
     ore_index,
     residual_polynomial,
 )
-from sexticfield.poly import Poly, X, is_integral, trinomial
+from sexticfield.poly import Poly, X, factor_mod_p, trinomial
 
 
 def test_edge_geometry():
@@ -42,8 +40,7 @@ def test_polygon_quadratic_base_example():
     residuals = ng.residual_polynomials()
     assert [rp.degree for rp in residuals] == [1, 1]
     assert all(rp.is_squarefree() for rp in residuals)
-    flag, report = is_p_regular(F, 3)
-    assert flag
+    assert ore_index(F, 3)[1]
 
 
 def test_polygon_tiebreak_takes_farthest_point():
@@ -111,12 +108,11 @@ def test_ore_index_pinned_pure_sextics():
     bound, attained = ore_index(f, 2)
     assert bound == 3
     assert not attained
-    flag, report = is_p_regular(f, 2)
-    assert not flag
-    ((phibar, polygon, residuals, ok),) = report
-    assert phibar.coeffs == (0, 1)
-    assert residuals[0].coeffs == (1, 0, 1)
-    assert not ok
+    _, facs = factor_mod_p(f, 2)
+    assert [(g.coeffs, e) for g, e in facs] == [((0, 1), 6)]
+    (rp,) = build_polygon(f, X, 2).residual_polynomials()
+    assert rp.coeffs == (1, 0, 1)
+    assert not rp.is_squarefree()
 
     # same field at p = 3: slope 1/6 edge, one segment, regular, index 0
     bound, attained = ore_index(f, 3)
@@ -187,17 +183,3 @@ def test_polygon_random_invariants():
         assert ng.vertices[-1] == ng.points[-1]
         # index contribution is nonnegative
         assert ng.index_contribution() >= 0
-
-
-def test_integral_quotients_give_integral_elements():
-    f = trinomial(0, 12)
-    ng = build_polygon(f, X, 2)
-    qs = integral_quotients(ng)
-    assert len(qs) == 6
-    # exponents floor(hull(6-j)) for hull y = x/3
-    assert [e for _, e in qs] == [1, 1, 1, 0, 0, 0]
-    for q, e in qs:
-        assert is_integral(q, 2 ** e, f)
-    # and the exponents are sharp for the first three here
-    for j, (q, e) in enumerate(qs[:3]):
-        assert not is_integral(q, 2 ** (e + 1), f)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from sexticfield import sextic
 from sexticfield.exact import InternalError, vp, vp_fraction
 from sexticfield.poly import Poly, is_integral, trinomial
 from sexticfield.sextic import (
@@ -75,7 +76,7 @@ def test_classify_worked_examples():
     assert classify(2, F)[0] == "E17"
     label, params = classify(3, F)
     assert label == "F26"
-    assert params.B == 5
+    assert params["B"] == 5
     assert classify(5, F)[0] == "G8"
 
     F = normalize(4, 4)
@@ -83,7 +84,7 @@ def test_classify_worked_examples():
     assert classify(3, F)[0] == "F1"
     label, params = classify(8539, F)
     assert label == "H12"
-    assert params.m == 0
+    assert params["m"] == 0
 
     with pytest.raises(ValueError):
         classify(6, F)
@@ -189,59 +190,59 @@ def test_deep_case_parameters():
         p, F = instance("E13", rng)
         label, prm = classify(2, F)
         a1 = F.a // 2
-        assert prm.beta == Fraction(-6 * F.b, 5 * F.a)
-        assert prm.s0 == vp(F.D, 2) - 6 and prm.s1 == vp(F.D, 2) - 5
-        assert vp_fraction(F.f(prm.beta), 2) == prm.s0
-        assert vp_fraction(F.f.derivative()(prm.beta), 2) == prm.s1
-        mod = 2 ** prm.k0
-        assert (5 * a1 * prm.x0 + 3 * F.b) % mod == 0
+        assert prm["beta"] == Fraction(-6 * F.b, 5 * F.a)
+        assert prm["s0"] == vp(F.D, 2) - 6 and prm["s1"] == vp(F.D, 2) - 5
+        assert vp_fraction(F.f(prm["beta"]), 2) == prm["s0"]
+        assert vp_fraction(F.f.derivative()(prm["beta"]), 2) == prm["s1"]
+        mod = 2 ** prm["k0"]
+        assert (5 * a1 * prm["x0"] + 3 * F.b) % mod == 0
 
     for _ in range(5):
         p, F = instance("E14", rng)
         _, prm = classify(2, F)
         a1 = F.a // 2
         k5 = (vp(F.D, 2) - 4) // 2
-        assert prm.u == (vp(F.D, 2) - 6) // 2
-        assert prm.delta == Fraction(2 ** prm.u - 3 * F.b, 5 * a1)
-        assert (5 * a1 * prm.x1 - 2 ** prm.u + 3 * F.b) % 2 ** k5 == 0
+        assert prm["u"] == (vp(F.D, 2) - 6) // 2
+        assert prm["delta"] == Fraction(2 ** prm["u"] - 3 * F.b, 5 * a1)
+        assert (5 * a1 * prm["x1"] - 2 ** prm["u"] + 3 * F.b) % 2 ** k5 == 0
 
     for _ in range(5):
         p, F = instance("E15", rng)
         _, prm = classify(2, F)
         a1 = F.a // 2
         k5 = (vp(F.D, 2) - 6) // 2
-        assert (5 * a1 * prm.x2 + 3 * F.b) % 2 ** k5 == 0
+        assert (5 * a1 * prm["x2"] + 3 * F.b) % 2 ** k5 == 0
 
     for _ in range(5):
         p, F = instance("F22", rng)
         _, prm = classify(3, F)
         a1 = F.a // 3
-        assert (5 * a1 * prm.x1 + 2 * F.b) % 9 == 0
+        assert (5 * a1 * prm["x1"] + 2 * F.b) % 9 == 0
 
     for case, xattr, kattr in (("F23", "x2", "k2"), ("F24", "x3", "k3")):
         for _ in range(5):
             p, F = instance(case, rng)
             _, prm = classify(3, F)
             a1 = F.a // 3
-            x = getattr(prm, xattr)
-            kk = getattr(prm, kattr)
+            x = prm[xattr]
+            kk = prm[kattr]
             assert (5 * a1 * x + 2 * F.b) % 3 ** kk == 0
 
     for case, kattr, xattr in (("G6", "k0", "x0"), ("G7", "k1", "x1")):
         for _ in range(5):
             p, F = instance(case, rng)
             _, prm = classify(5, F)
-            x = getattr(prm, xattr)
-            kk = getattr(prm, kattr)
+            x = prm[xattr]
+            kk = prm[kattr]
             assert (F.a * x + 6 * (F.b // 5)) % 5 ** kk == 0
-            assert prm.r0 >= 2 and prm.r1 >= 2
+            assert prm["r0"] >= 2 and prm["r1"] >= 2
 
     for case in ("H11", "H12"):
         for _ in range(5):
             p, F = instance(case, rng)
             _, prm = classify(p, F)
-            mod = p ** prm.m
-            x, y, z, v, w = prm.row_solution
+            mod = p ** prm["m"]
+            x, y, z, v, w = prm["row_solution"]
             A5, B6 = 5 * F.a, 6 * F.b
             assert (6 * x - A5) % mod == 0
             assert (A5 ** 4 * y - B6 ** 4) % mod == 0
@@ -255,14 +256,14 @@ def test_unit_sign_cases():
     for _ in range(8):
         p, F = instance("F19", rng)
         _, prm = classify(3, F)
-        assert prm.eps == (-1 if F.a % 9 == 3 else 1)
+        assert prm["eps"] == (-1 if F.a % 9 == 3 else 1)
         B = p_integral_basis(3, F)
-        e = prm.eps % 3
+        e = prm["eps"] % 3
         assert B.rows[5] == (e, 1, e, 1, e)
     for _ in range(8):
         p, F = instance("F21", rng)
         _, prm = classify(3, F)
-        assert prm.eps == (-1 if F.a % 9 == 6 else 1)
+        assert prm["eps"] == (-1 if F.a % 9 == 6 else 1)
 
 
 def test_regular_route_membership():
@@ -281,10 +282,10 @@ def test_ore_translations_map():
                         ("H12", "beta"), ("E14", "delta"), ("E15", "delta")):
         p, F = instance(label, rng)
         _, prm = classify(p, F)
-        assert ore_translations(label, prm) == (getattr(prm, attr),)
+        assert ore_translations(prm) == (prm[attr],)
     p, F = instance("E5", rng)
     _, prm = classify(2, F)
-    assert ore_translations("E5", prm) == ()
+    assert ore_translations(prm) == ()
 
 
 def test_irreducibility_ladder():
@@ -321,6 +322,23 @@ def test_irreducibility_ladder():
     for a, b in ((7, 3), (1, 1), (-1, 1), (3, 5), (11, -7)):
         rep = irreducibility_check(normalize(a, b))
         assert rep.status == "irreducible", (a, b, rep.method)
+
+
+def test_irreducibility_factors_b_at_most_once(monkeypatch):
+    # the ramification branch's factor(b) runs out of budget, so the
+    # exhaustive step must reuse it rather than factor b again
+    calls = []
+    real = sextic.factor
+
+    def counting(n, *args, **kwargs):
+        calls.append(n)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(sextic, "factor", counting)
+    b = 36841224028491259417702852952
+    rep = irreducibility_check(normalize(13257408, b), factor_budget=1)
+    assert rep.status == "unknown"
+    assert calls == [b]
 
 
 def test_irreducibility_witnesses_verify():
