@@ -228,7 +228,7 @@ def _execute(args):
         report["discriminant"] = {"value": _s(3125 * a ** 6), "factors": None}
         return report, 2
     try:
-        field = normalize(a, b)
+        field = normalize(a, b, factor_budget=args.factor_budget)
     except ValueError:
         # b nonzero, so a zero discriminant means (a, b) = (6s^5, 5s^6)
         s = _sixth_family_root(a, b)
@@ -246,10 +246,11 @@ def _execute(args):
         "a": _s(field.a),
         "b": _s(field.b),
     }
-    if field.scan_limit_hit:
+    if field.unsplit_content != 1:
         warnings.append(
-            "normalization scan stopped at 10^6; larger sixth-power "
-            "content may remain"
+            f"gcd(a, b) keeps an unfactored cofactor of "
+            f"{field.unsplit_content.bit_length()} bits; sixth-power content "
+            f"in it is assumed absent"
         )
 
     irr = irreducibility_check(field, factor_budget=args.factor_budget)

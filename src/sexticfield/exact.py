@@ -2,7 +2,14 @@
 
 Everything here is deterministic and allocation-light: valuations,
 modular arithmetic, integer roots, a budgeted integer factorizer and
-Hermite normal form for rational row lattices.  There are no matrix
+Hermite normal form for rational row lattices.  The factorizer's trial
+stage divides by gcds, not by single primes (Bernstein, "How to find
+small factors of integers"): the primes up to 10^6 fall into blocks of
+fixed width, the product of each block's primes is built on first use
+by a segmented sieve and kept, and one gcd with it finds every prime of
+the block that divides n.  Perfect powers are found with exact integer
+roots, and what remains goes to Brent's rho under an iteration budget.
+`normalize` reuses the same trial stage.  There are no matrix
 inverses or determinants over Fractions: the verification layer works
 with integer triangular solves, Berkowitz characteristic polynomials
 and ranks mod p instead.  No floating point is used anywhere except
@@ -13,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -215,7 +223,102 @@ class PrimeFactorization:
         return tuple(p for p, _ in self.factors)
 
 
-_TRIAL_LIMIT = 1_000_000
+TRIAL_LIMIT = 1_000_000
+_BLOCK = 1 << 14  # width of one block of the trial range [0, TRIAL_LIMIT]
+_BLOCKS = TRIAL_LIMIT // _BLOCK + 1
+
+
+def _odd_primes_upto(n: int):
+    flags = bytearray([1]) * (n + 1)
+    for p in range(3, math.isqrt(n) + 1, 2):
+        if flags[p]:
+            flags[p * p::2 * p] = bytes(len(range(p * p, n + 1, 2 * p)))
+    return tuple(p for p in range(3, n + 1, 2) if flags[p])
+
+
+# the odd primes up to sqrt(TRIAL_LIMIT), which sieve every block
+_SIEVING_PRIMES = _odd_primes_upto(math.isqrt(TRIAL_LIMIT))
+
+# _block_products[k] is the product of the primes of block k; the list
+# grows on first use, block by block, and is the only state kept
+_block_products = []
+
+
+def _block_primes(k: int):
+    """The primes of block k, [k*_BLOCK, (k+1)*_BLOCK) cut at TRIAL_LIMIT.
+
+    A segmented sieve over the odd numbers of the block: flag i stands
+    for lo + 2*i + 1.
+    """
+    lo = k * _BLOCK
+    hi = min(lo + _BLOCK, TRIAL_LIMIT + 1)
+    flags = bytearray([1]) * ((hi - lo) // 2)
+    for p in _SIEVING_PRIMES:
+        if p * p >= hi:
+            break
+        start = max(p * p, -(-lo // p) * p)
+        if start % 2 == 0:
+            start += p
+        i = (start - lo) // 2
+        flags[i::p] = bytes(len(range(i, len(flags), p)))
+    if lo == 0:
+        flags[0] = 0  # 1 is not prime
+    primes = list(itertools.compress(range(lo + 1, hi, 2), flags))
+    return [2] + primes if lo == 0 else primes
+
+
+def _block_product(k: int) -> int:
+    while len(_block_products) <= k:
+        xs = _block_primes(len(_block_products))
+        while len(xs) > 1:  # pairwise rounds keep the operands balanced
+            xs = list(map(operator.mul, xs[::2], xs[1::2])) + xs[len(xs) & ~1:]
+        _block_products.append(xs[0])
+    return _block_products[k]
+
+
+def trial_division(n: int, bound: int):
+    """Divide the primes p <= min(bound, TRIAL_LIMIT) out of n >= 1.
+
+    Trial division by gcds (Bernstein, "How to find small factors of
+    integers"): one gcd of n with the product of the primes of a block
+    finds every prime of that block dividing n, and only a block with a
+    gcd above 1 is split prime by prime.  The scan stops at the first
+    block whose start lo has lo > bound or lo*lo > n.
+
+    Returns (found, rest): `found` lists (p, e) with p^e exactly
+    dividing n, in increasing p, and rest = n / prod(p^e).  No prime
+    p <= min(bound, TRIAL_LIMIT) with p*p <= rest divides rest, so a
+    rest of at most min(bound, TRIAL_LIMIT)**2 is 1 or a prime.
+    """
+    found = []
+    for k in range(_BLOCKS):
+        lo = k * _BLOCK
+        if lo > bound or lo * lo > n:
+            break
+        g = math.gcd(_block_product(k), n)
+        if g == 1:
+            continue
+        # g is a product of distinct primes of the block: divide it by
+        # the block's numbers in turn (a composite one shares no factor
+        # with what is left) until what is left is 1 or a prime
+        hits = []
+        d = 2 if lo == 0 else lo + 1
+        while d * d <= g:
+            if g % d == 0:
+                hits.append(d)
+                g //= d
+            d += 1 if d == 2 else 2
+        if g > 1:
+            hits.append(g)
+        for p in hits:
+            if p > bound:
+                break
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            found.append((p, e))
+    return found, n
 
 
 def _brent_rho(n: int, budget: int):
@@ -269,9 +372,9 @@ def _perfect_power(n: int):
 
     Exact integer roots only: a float root misses every m above 2**53.
     """
-    for k in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
-        if 2 ** k > n:
-            break
+    for k in range(2, n.bit_length()):  # every prime k with 2**k <= n
+        if not is_prime(k):
+            continue
         m = floor_root(n, k)
         if m ** k == n:
             return m, k
@@ -287,22 +390,13 @@ def factor(n: int, budget: int = 2_000_000) -> PrimeFactorization:
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = -1 if n < 0 else 1
-    n = abs(n)
-    found = {}
+    small, n = trial_division(abs(n), TRIAL_LIMIT)
+    found = dict(small)
 
     def record(p, e=1):
         found[p] = found.get(p, 0) + e
 
-    d = 2
-    while d <= _TRIAL_LIMIT and d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            record(d, e)
-        d += 1 if d == 2 else 2
-    if n > 1 and n <= _TRIAL_LIMIT * _TRIAL_LIMIT:
+    if n > 1 and n <= TRIAL_LIMIT * TRIAL_LIMIT:
         # leftover below the square of the trial bound is prime
         record(n)
         n = 1

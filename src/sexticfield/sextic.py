@@ -47,11 +47,13 @@ from types import MappingProxyType, SimpleNamespace
 
 from .exact import (
     INF,
+    TRIAL_LIMIT,
     InternalError,
     factor,
     floor_root,
     is_prime,
     solve_linear_congruence,
+    trial_division,
     vp,
 )
 from .poly import Poly, factor_mod_p, trinomial
@@ -85,6 +87,8 @@ class TrinomialField:
     `normalization` records the scaling steps applied to the input pair:
     (p, e) means theta was replaced by theta/p^e, i.e. (a, b) was divided
     by (p^(5e), p^(6e)).  `D2` is the odd part of D (sign included).
+    `unsplit_content` is the part of gcd(a, b) that normalization could
+    not factor within its budget (1 when every content prime is known).
     """
 
     a: int
@@ -94,7 +98,7 @@ class TrinomialField:
     D2: int
     normalization: tuple
     original: tuple
-    scan_limit_hit: bool = False
+    unsplit_content: int = 1
 
 
 def trinomial_discriminant(a: int, b: int) -> int:
@@ -111,42 +115,45 @@ def trinomial_discriminant(a: int, b: int) -> int:
     return D
 
 
-_NORMALIZE_SCAN_LIMIT = 1_000_000
-
-
-def normalize(a: int, b: int) -> TrinomialField:
+def normalize(a: int, b: int, factor_budget: int = 2_000_000) -> TrinomialField:
     """Strip common p^5 | a, p^6 | b content and package the result.
 
     Replacing theta by theta/p turns x^6 + a*x + b into
     x^6 + (a/p^5)*x + b/p^6, which defines the same field; this is
-    applied repeatedly for every prime where it is possible.  b = 0 is
-    rejected outright (x divides the trinomial).
+    applied e_p = min(v_p(b) // 6, v_p(a) // 5) times at every prime p
+    (e_p = v_p(b) // 6 when a = 0).  Such a p divides gcd(a, b) and is
+    at most B = min(|b|^(1/6), |a|^(1/5)), so while B <= 10^6 trial
+    division of the gcd up to B finds every one of them.  Above that
+    the gcd goes to `factor` under `factor_budget`; a part of it that
+    stays unsplit is kept in `unsplit_content`, and content there is
+    assumed absent.  b = 0 is rejected outright (x divides the
+    trinomial).
     """
     if b == 0:
         raise ValueError("b = 0: x divides x^6 + a*x, so no sextic field arises")
     original = (a, b)
-    applied = {}
-    limit_hit = False
-    while True:
-        bound = floor_root(abs(b), 6)
+    g = math.gcd(a, b)
+    bound = floor_root(abs(b), 6)
+    if a != 0:
+        bound = min(bound, floor_root(abs(a), 5))
+    unsplit = 1
+    if bound <= TRIAL_LIMIT:
+        # p^5 | g keeps g >= p^2 until p's block, so trial division
+        # strips every content prime and the rest can be dropped
+        primes = [p for p, _ in trial_division(g, bound)[0]]
+    else:
+        pf = factor(g, budget=factor_budget)
+        primes = pf.primes()
+        unsplit = abs(pf.cofactor)
+    applied = []
+    for p in primes:
+        e = vp(b, p) // 6
         if a != 0:
-            bound = min(bound, floor_root(abs(a), 5))
-        if bound > _NORMALIZE_SCAN_LIMIT:
-            bound = _NORMALIZE_SCAN_LIMIT
-            limit_hit = True
-        hit = None
-        q = 2
-        while q <= bound:
-            if is_prime(q) and b % q ** 6 == 0 and (a == 0 or a % q ** 5 == 0):
-                hit = q
-                break
-            q += 1
-        if hit is None:
-            break
-        if a:
-            a //= hit ** 5
-        b //= hit ** 6
-        applied[hit] = applied.get(hit, 0) + 1
+            e = min(e, vp(a, p) // 5)
+        if e:
+            applied.append((p, e))
+            a //= p ** (5 * e)
+            b //= p ** (6 * e)
     D = trinomial_discriminant(a, b)
     D2 = D >> vp(D, 2)
     return TrinomialField(
@@ -155,9 +162,9 @@ def normalize(a: int, b: int) -> TrinomialField:
         f=trinomial(a, b),
         D=D,
         D2=D2,
-        normalization=tuple(sorted(applied.items())),
+        normalization=tuple(applied),
         original=original,
-        scan_limit_hit=limit_hit,
+        unsplit_content=unsplit,
     )
 
 

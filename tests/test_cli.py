@@ -247,3 +247,34 @@ def test_coefficients_beyond_float_range(capsys):
     D = int(report["discriminant"]["value"])
     d_K = int(report["field_discriminant"]["d_K"])
     assert D == int(report["index"]) ** 2 * d_K
+
+
+def test_sixth_power_content_above_the_trial_limit(capsys):
+    """p = 1131479 > 10^6 with p^5 | a and p^6 | b is normalized away."""
+    a = 18742951521298592598325864112164109052618736657
+    b = -207997723422489013374180261907979353154944250519
+    code, out, err = _capture(
+        capsys,
+        ["--a", str(a), "--b", str(b), "--json", "--factor-budget", "10000"],
+    )
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    assert report["normalization"]["applied"] == [["1131479", "1"]]
+    assert report["verification"]["all_passed"]
+    D = int(report["discriminant"]["value"])
+    d_K = int(report["field_discriminant"]["d_K"])
+    assert D == int(report["index"]) ** 2 * d_K
+
+
+def test_unsplit_gcd_warns(capsys):
+    m = (2 ** 89 - 1) * (2 ** 107 - 1)
+    code, out, err = _capture(
+        capsys,
+        ["--a", str(7 * m), "--b", str(5 * m), "--json", "--factor-budget", "100"],
+    )
+    assert code == 0
+    assert json.loads(out)["warnings"][0] == (
+        "gcd(a, b) keeps an unfactored cofactor of 196 bits; sixth-power "
+        "content in it is assumed absent"
+    )

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracmat import mat_det, mat_identity
+from trialloop import factor_by_loop
 
+from sexticfield import cli, exact
 from sexticfield.exact import (
     INF,
     InternalError,
@@ -130,6 +132,10 @@ def test_factor_perfect_power():
     pf = factor(m ** 4)
     assert pf.factors == ((m, 4),)
     assert pf.complete
+    # the exponent is a prime above 43
+    pf = factor((1_000_003 * 1_000_033) ** 47, budget=10_000)
+    assert pf.factors == ((1_000_003, 47), (1_000_033, 47))
+    assert pf.complete
 
 
 def test_factor_budget_exhaustion():
@@ -159,6 +165,78 @@ def test_factor_randomized_roundtrip():
         for p, e in pf.factors:
             assert is_prime(p)
             assert e >= 1
+
+
+def _edge_primes():
+    """The last prime below and the first prime from each of a few block starts."""
+    out = []
+    for k in (1, 2, 30, exact._BLOCKS - 1):
+        lo = k * exact._BLOCK
+        out.append(next(q for q in range(lo - 1, 1, -1) if is_prime(q)))
+        out.append(next(q for q in range(lo, 2 * lo) if is_prime(q)))
+    return out
+
+
+_TRIAL_EDGE_CASES = [
+    1, 2, 4, 16381, 16411,
+    999_983, 999_983 ** 2, 1_000_003, 1_000_003 * 999_983,
+    2 * 999_999_999_989, 3 ** 5 * 999_999_999_989, 10 ** 12, 10 ** 12 + 39,
+    2 ** 16 * 3 ** 11, 7 ** 3 * 1_000_003 ** 2 * 1_000_033,
+]
+
+
+def test_trial_division_agrees_with_the_loop():
+    cases = list(_TRIAL_EDGE_CASES)
+    edges = _edge_primes()
+    cases += edges
+    cases += [p * 2 ** 5 * 3 for p in edges]
+    cases += [p * q for p, q in zip(edges, edges[1:])]
+    cases += [p ** 2 * 1_000_003 for p in edges[:4]]
+    for n in cases:
+        for m in (n, -n):
+            # budget 1 leaves rho no room to make up for a missed trial prime
+            for budget in (1, 5000):
+                assert factor(m, budget) == factor_by_loop(m, budget), (m, budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(2, 1_100_000), max_size=4),
+    st.integers(1, 10 ** 30),
+    st.booleans(),
+)
+def test_trial_division_agrees_with_the_loop_drawn(parts, tail, negative):
+    n = math.prod(parts) * tail
+    if negative:
+        n = -n
+    assert factor(n, budget=2000) == factor_by_loop(n, budget=2000)
+
+
+def test_trial_division_bound_and_leftover():
+    found, rest = exact.trial_division(2 ** 3 * 5 * 13 * 17 * 999_983, 13)
+    assert found == [(2, 3), (5, 1), (13, 1)]
+    assert rest == 17 * 999_983
+    found, rest = exact.trial_division(2 * 999_983, exact.TRIAL_LIMIT)
+    # the scan stops once lo*lo > rest, so the last prime may stay in rest
+    assert found[0] == (2, 1)
+    assert math.prod(p ** e for p, e in found) * rest == 2 * 999_983
+
+
+def test_block_products_are_built_lazily(monkeypatch, capsys):
+    monkeypatch.setattr(exact, "_block_products", [])
+    # the worked example (0, 12) has D = -2^16 * 3^11
+    assert cli.run(["--a", "0", "--b", "12", "--json"]) == 0
+    capsys.readouterr()
+    assert len(exact._block_products) == 1
+    factor(999_983 * 1_000_003)
+    assert len(exact._block_products) == exact._BLOCKS
+    primes = [p for k in range(exact._BLOCKS) for p in exact._block_primes(k)]
+    assert len(primes) == 78498  # pi(10^6)
+    assert primes[-1] == 999_983
+    assert all(
+        math.prod(exact._block_primes(k)) == exact._block_products[k]
+        for k in (0, 1, exact._BLOCKS - 1)
+    )
 
 
 def test_hnf_identity_lattice():

@@ -1,9 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sexticfield import sextic
+from sexticfield import exact, sextic
 from sexticfield.exact import InternalError, vp, vp_fraction
 from sexticfield.poly import Poly, is_integral, trinomial
 from sexticfield.sextic import (
@@ -55,6 +59,75 @@ def test_normalize_strips_content():
     F = normalize(0, 2 ** 6 * 3 ** 6)
     assert (F.a, F.b) == (0, 1)
     assert dict(F.normalization) == {2: 1, 3: 1}
+
+
+def test_normalize_content_above_the_trial_limit():
+    p = 1_000_003
+    F = normalize(7 * p ** 5, 5 * p ** 6)
+    assert (F.a, F.b) == (7, 5)
+    assert F.normalization == ((p, 1),)
+    assert F.unsplit_content == 1
+    F = normalize(0, -5 * p ** 6)
+    assert (F.a, F.b) == (0, -5)
+    assert F.normalization == ((p, 1),)
+    F = normalize(0, 5 * p ** 12)
+    assert (F.a, F.b) == (0, 5)
+    assert F.normalization == ((p, 2),)
+    # a gcd that rho cannot split within the budget is kept, not guessed at
+    m = (2 ** 89 - 1) * (2 ** 107 - 1)
+    F = normalize(7 * m, 5 * m, factor_budget=100)
+    assert F.normalization == ()
+    assert F.unsplit_content == m
+
+
+def _content_by_sympy(a, b):
+    """The normalization of (a, b) from sympy's factorization of gcd(a, b)."""
+    out = []
+    for q, _ in sorted(sympy.factorint(math.gcd(a, b)).items()):
+        e = vp(b, q) // 6
+        if a:
+            e = min(e, vp(a, q) // 5)
+        if e:
+            out.append((q, e))
+    return tuple(out)
+
+
+# a gcd of two primes above 10^6 that only rho could split
+_BIG_GCD = 1_000_003 * 1_000_033
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(-10 ** 23, 10 ** 23),
+    st.integers(-10 ** 23, 10 ** 23).filter(bool),
+    st.lists(st.sampled_from([2, 3, 5, 16381, 16411, 999_983]), max_size=3),
+    st.booleans(),
+    st.sampled_from([1, _BIG_GCD]),
+)
+@example(1, 1, [999_983], False, 1)
+@example(1, -1, [999_983], True, 1)
+@example(10 ** 14, 10 ** 23, [], False, _BIG_GCD)
+def test_normalize_below_10_36_needs_no_rho(c, d, content, zero_a, shared):
+    a, b = (0 if zero_a else c * shared), d * shared
+    if max(abs(a), abs(b)) >= 10 ** 36:
+        a, b = (0 if zero_a else c), d
+    for q in content:
+        if max(abs(a * q ** 5), abs(b * q ** 6)) < 10 ** 36:
+            a, b = a * q ** 5, b * q ** 6
+
+    def no_rho(*args):
+        raise AssertionError("normalize called rho below 10^36")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_brent_rho", no_rho)
+        try:
+            F = normalize(a, b, factor_budget=10)
+        except ValueError:  # zero discriminant
+            return
+    assert F.normalization == _content_by_sympy(a, b)
+    scale = math.prod(q ** e for q, e in F.normalization)
+    assert (F.a * scale ** 5, F.b * scale ** 6) == (a, b)
+    assert F.unsplit_content == 1
 
 
 def test_normalize_rejects_degenerate():
