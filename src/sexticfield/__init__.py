@@ -23,7 +23,7 @@ from .basis import (
 )
 from .exact import InternalError, PrimeFactorization, factor
 from .newton import NewtonPolygon, build_polygon, ore_index
-from .poly import Poly, discriminant, is_integral, resultant, trinomial
+from .poly import Poly, discriminant, is_integral, trinomial
 from .sextic import (
     CASE_LABELS,
     REGULAR_ROUTE,
@@ -81,7 +81,6 @@ __all__ = [
     "p_integral_basis",
     "prime_exponent_profile",
     "pure_sextic_discriminant",
-    "resultant",
     "trinomial",
     "trinomial_discriminant",
 ]

@@ -370,9 +370,14 @@ def _brent_rho(n: int, budget: int):
 def _perfect_power(n: int):
     """If n = m**k for a prime k, return (m, k) for the least such k; else None.
 
-    Exact integer roots only: a float root misses every m above 2**53.
+    n must have no prime factor up to TRIAL_LIMIT, as every n on
+    `factor`'s stack does (a cofactor left by trial division, or a rho
+    split of one).  Exact integer roots only: a float root misses every
+    m above 2**53.
     """
-    for k in range(2, n.bit_length()):  # every prime k with 2**k <= n
+    # m > TRIAL_LIMIT >= 2**t, so n = m**k > 2**(t*k) and k <= (bits - 1) // t
+    t = TRIAL_LIMIT.bit_length() - 1
+    for k in range(2, (n.bit_length() - 1) // t + 1):
         if not is_prime(k):
             continue
         m = floor_root(n, k)

@@ -21,7 +21,6 @@ from fractions import Fraction
 from .exact import INF, InternalError, is_prime, vp_fraction
 from .poly import (
     ExtField,
-    ModPoly,
     Poly,
     PrimeField,
     X,

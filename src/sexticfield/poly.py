@@ -2,10 +2,12 @@
 
 The `Poly` class stores coefficients ascending (coeffs[i] is the
 coefficient of x^i) as ints or Fractions.  On top of it sit the
-phi-adic expansion used by the Newton-polygon machinery, a subresultant
-PRS resultant, characteristic polynomials of algebraic numbers given in
-root-power coordinates (division-free Berkowitz on the integer
-multiplication matrix), and complete factorization modulo a prime.
+phi-adic expansion used by the Newton-polygon machinery, characteristic
+polynomials of algebraic numbers given in root-power coordinates
+(division-free Berkowitz on the integer multiplication matrix), the
+discriminant as the norm of f'(theta) from that same kernel, and
+complete factorization modulo a prime by one distinct-degree /
+equal-degree factorizer that serves every p.
 
 Finite-field arithmetic is written generically against a small "field
 object" protocol (PrimeField / ExtField) so the same gcd and power-mod
@@ -15,10 +17,8 @@ code serves both F_p and F_{p^r}.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact import INF, InternalError, vp_fraction
 
@@ -146,17 +146,6 @@ class Poly:
 
     def derivative(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs[1:], start=1)))
-
-    def content_and_primitive(self):
-        """(content, primitive part) for integer polynomials; content > 0."""
-        if not self.is_integer():
-            raise ValueError("content is only defined here for integer polys")
-        if self.is_zero():
-            return 0, self
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-        return g, Poly(tuple(c // g for c in self.coeffs))
 
     def __repr__(self):
         if self.is_zero():
@@ -396,13 +385,6 @@ def fp_deriv(K, a):
     )
 
 
-def fp_eval(K, a, x):
-    v = K.zero
-    for c in reversed(a):
-        v = K.add(K.mul(v, x), c)
-    return v
-
-
 def fp_pow_mod(K, base, e: int, mod):
     result = [K.one]
     base = fp_rem(K, list(base), mod)
@@ -435,17 +417,6 @@ class ModPoly:
     p: int
     coeffs: tuple  # ascending ints, trimmed
 
-    @staticmethod
-    def make(p: int, coeffs) -> "ModPoly":
-        cs = [residue_int(c, p) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return ModPoly(p, tuple(cs))
-
-    @staticmethod
-    def from_poly(F: Poly, p: int) -> "ModPoly":
-        return ModPoly.make(p, F.coeffs)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -461,98 +432,50 @@ class ModPoly:
 
 
 def reduce_poly(F: Poly, p: int) -> ModPoly:
-    return ModPoly.from_poly(F, p)
+    """F modulo p; F must have p-integral coefficients."""
+    cs = [residue_int(c, p) for c in F.coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return ModPoly(p, tuple(cs))
 
 
 # ---------------------------------------------------------------------------
 # factorization over F_p
 
 
-@lru_cache(maxsize=None)
-def _small_irreducibles(p: int, d: int):
-    """All monic irreducible polynomials of degree d over F_p, d <= 3.
-
-    A cubic or quadratic over F_p is reducible iff it has a root, so a
-    root scan is an exact test here.
-    """
-    assert d <= 3
-    out = []
-    for tail in itertools.product(range(p), repeat=d):
-        cs = tail + (1,)
-        if d == 1:
-            out.append(cs)
-            continue
-        if any(fp_eval(PrimeField(p), list(cs), x) == 0 for x in range(p)):
-            continue
-        out.append(cs)
-    return tuple(out)
-
-
-def _factor_small_p(K: PrimeField, f):
-    """Exhaustive trial division; correct for deg f <= 7."""
-    p = K.p
-    if fp_deg(f) > 7:
-        raise InternalError("small-p factorizer limited to degree <= 7")
-    out = []
-    for d in (1, 2, 3):
-        if fp_deg(f) < d:
-            break
-        for cs in _small_irreducibles(p, d):
-            g = list(cs)
-            e = 0
-            while True:
-                q, r = fp_divmod(K, f, g)
-                if r:
-                    break
-                f = q
-                e += 1
-            if e:
-                out.append((tuple(g), e))
-            if fp_deg(f) == 0:
-                break
-    if fp_deg(f) >= 1:
-        # no factor of degree <= 3 remains, so what is left (degree 4..7)
-        # admits no proper splitting at all
-        out.append((tuple(f), 1))
-    return out
-
-
-def _yun_squarefree(K, f):
-    """Yun decomposition [(g_i, i)] with f = prod g_i^i; needs p > deg f."""
-    df = fp_deriv(K, f)
-    u = fp_gcd(K, f, df)
-    v, _ = fp_divmod(K, f, u)
-    w, _ = fp_divmod(K, df, u)
-    out = []
-    i = 1
-    while fp_deg(v) > 0:
-        wv = fp_sub(K, w, fp_deriv(K, v))
-        h = fp_gcd(K, v, wv)
-        if fp_deg(h) > 0:
-            out.append((h, i))
-        v, _ = fp_divmod(K, v, h)
-        w, _ = fp_divmod(K, wv, h)
-        i += 1
-    return out
-
-
 def _ddf(K, f):
-    """Distinct-degree splitting of a squarefree monic f over F_p."""
+    """Factorization [(irreducible, multiplicity)] of a monic f over F_p.
+
+    At step d every factor of degree < d has been divided out of f with
+    its multiplicity, so gcd(x^(p^d) - x, f) is the product of the
+    distinct degree-d irreducibles left in f (x^(p^d) - x is
+    squarefree), whatever the characteristic.  Each is split off by
+    `_edf` and divided out as often as it goes.  Once 2d > deg f, what
+    remains cannot hold two factors of degree >= d, so it is
+    irreducible with multiplicity 1.
+    """
     p = K.p
     out = []
-    w = [0, 1]  # x
+    w = [0, 1]  # x^(p^d) mod f
     d = 0
     while fp_deg(f) >= 1:
         d += 1
         if 2 * d > fp_deg(f):
-            out.append((f, fp_deg(f)))
+            out.append((f, 1))
             break
         w = fp_pow_mod(K, w, p, f)
         g = fp_gcd(K, fp_sub(K, w, [0, 1]), f)
-        if fp_deg(g) > 0:
-            out.append((g, d))
-            f, _ = fp_divmod(K, f, g)
-            w = fp_rem(K, w, f)
+        if fp_deg(g) == 0:
+            continue
+        for irr in _edf(K, g, d):
+            e = 0
+            while True:
+                q, r = fp_divmod(K, f, irr)
+                if r:
+                    break
+                f, e = q, e + 1
+            out.append((irr, e))
+        w = fp_rem(K, w, f)
     return out
 
 
@@ -566,8 +489,15 @@ def _candidate_split_polys(p: int):
 
 
 def _edf(K, f, d):
-    """Split a product of distinct degree-d irreducibles; p odd, > 13."""
-    if fp_deg(f) == d:
+    """Split a product of distinct degree-d irreducibles over F_p.
+
+    Cantor-Zassenhaus with a deterministic candidate supply: u splits f
+    through gcd(u, f) or gcd(u^((p^d-1)/2) - 1, f).  For p = 2 the second
+    gcd need not ever split; the first does, because the supply lists
+    every monic polynomial, the factors of f among them, so the split
+    terminates for every p.
+    """
+    if fp_deg(f) < 2 * d:  # fewer than two degree-d factors: irreducible
         return [f]
     p = K.p
     e = (p ** d - 1) // 2
@@ -584,36 +514,22 @@ def _edf(K, f, d):
     raise InternalError("equal-degree splitting ran out of candidates")
 
 
-def factor_mod_p(F, p: int):
-    """Complete factorization of F modulo p.
+def factor_mod_p(F: Poly, p: int):
+    """Complete factorization of F modulo p, for every prime p.
 
-    F may be a Poly (p-integral coefficients) or a ModPoly.  Returns
-    (unit, factors) where unit is in [1, p) and factors is a tuple of
-    (monic irreducible ModPoly, multiplicity) sorted by degree then by
-    coefficient tuple.  Degree of F mod p must be <= 7 when p <= 13.
+    F must have p-integral coefficients.  Returns (unit, factors) where
+    unit is in [1, p) and factors is a tuple of (monic irreducible
+    ModPoly, multiplicity) sorted by degree then by coefficient tuple.
     """
-    fb = F if isinstance(F, ModPoly) else ModPoly.from_poly(F, p)
+    fb = reduce_poly(F, p)
     if not fb.coeffs:
         raise ValueError("cannot factor the zero polynomial")
     K = PrimeField(p)
-    f = list(fb.coeffs)
-    unit = f[-1]
-    f = fp_monic(K, f)
-    if fp_deg(f) == 0:
-        return unit, ()
-    found = {}
-    if p <= 13:
-        for g, e in _factor_small_p(K, f):
-            found[g] = found.get(g, 0) + e
-    else:
-        for g, mult in _yun_squarefree(K, f):
-            for h, d in _ddf(K, g):
-                for irr in _edf(K, h, d):
-                    key = tuple(irr)
-                    found[key] = found.get(key, 0) + mult
+    unit = fb.coeffs[-1]
+    found = _ddf(K, fp_monic(K, list(fb.coeffs)))
     factors = tuple(
         sorted(
-            ((ModPoly(p, cs), e) for cs, e in found.items()),
+            ((ModPoly(p, tuple(g)), e) for g, e in found),
             key=lambda t: t[0].sort_key(),
         )
     )
@@ -622,80 +538,13 @@ def factor_mod_p(F, p: int):
 
 def poly_gcd_mod_p(A: Poly, B: Poly, p: int) -> ModPoly:
     K = PrimeField(p)
-    a = list(ModPoly.from_poly(A, p).coeffs)
-    b = list(ModPoly.from_poly(B, p).coeffs)
+    a = list(reduce_poly(A, p).coeffs)
+    b = list(reduce_poly(B, p).coeffs)
     return ModPoly(p, tuple(fp_gcd(K, a, b)))
 
 
 # ---------------------------------------------------------------------------
-# resultants and characteristic polynomials
-
-
-def _prem(A: Poly, B: Poly):
-    """Pseudo-remainder: lc(B)^(degA-degB+1) * A = Q*B + R."""
-    d = A.degree - B.degree
-    lead = B.leading
-    R = A * (lead ** (d + 1))
-    rem = list(R.coeffs)
-    for i in range(d, -1, -1):
-        top = rem[i + B.degree]
-        if top == 0:
-            continue
-        c = top // lead
-        if c * lead != top:
-            raise InternalError("pseudo-division failed to stay integral")
-        for j in range(B.degree + 1):
-            rem[i + j] -= c * B.coeffs[j]
-    return Poly(rem[: B.degree])
-
-
-def resultant(A: Poly, B: Poly) -> int:
-    """Res(A, B) over Z by the subresultant PRS."""
-    if not (A.is_integer() and B.is_integer()):
-        raise ValueError("resultant requires integer coefficients")
-    if A.is_zero() or B.is_zero():
-        return 0
-    ca, A = A.content_and_primitive()
-    cb, B = B.content_and_primitive()
-    s = 1
-    t = ca ** B.degree * cb ** A.degree
-    if A.degree < B.degree:
-        if A.degree % 2 == 1 and B.degree % 2 == 1:
-            s = -s
-        A, B = B, A
-    g = h = 1
-    while B.degree > 0:
-        delta = A.degree - B.degree
-        if A.degree % 2 == 1 and B.degree % 2 == 1:
-            s = -s
-        R = _prem(A, B)
-        A, B = B, R
-        denom = g * h ** delta
-        B = Poly(tuple(c // denom for c in B.coeffs))
-        g = A.leading
-        if delta == 0:
-            pass  # h unchanged
-        elif delta == 1:
-            h = g
-        else:
-            h = g ** delta // h ** (delta - 1)
-    if B.is_zero():
-        return 0
-    lead = B.leading
-    if A.degree == 0:
-        res = 1
-    else:
-        res = lead ** A.degree // h ** (A.degree - 1)
-    return s * t * res
-
-
-def discriminant(F: Poly) -> int:
-    """disc(F) for monic integer F: (-1)^(n(n-1)/2) Res(F, F')."""
-    if not F.is_monic():
-        raise ValueError("monic polynomial expected")
-    n = F.degree
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(F, F.derivative())
+# characteristic polynomials and the discriminant
 
 
 def _berkowitz(M):
@@ -756,3 +605,18 @@ def is_integral(g: Poly, t: int, f: Poly) -> bool:
     """
     c = _char_poly_numerators(g, t, f)
     return all(ck % t ** k == 0 for k, ck in enumerate(c))
+
+
+def discriminant(F: Poly) -> int:
+    """disc(F) = (-1)^(n(n-1)/2) N(F'(theta)) for monic integer F, n >= 1.
+
+    The norm of F'(theta) is (-1)^n c_n, with c_n the constant term of
+    its characteristic polynomial from Berkowitz.
+    """
+    if not F.is_monic():
+        raise ValueError("monic polynomial expected")
+    n = F.degree
+    if n < 1:
+        raise ValueError("positive degree expected")
+    norm = (-1) ** n * _char_poly_numerators(F.derivative(), 1, F)[n]
+    return (-1) ** (n * (n - 1) // 2) * norm

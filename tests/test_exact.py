@@ -136,6 +136,10 @@ def test_factor_perfect_power():
     pf = factor((1_000_003 * 1_000_033) ** 47, budget=10_000)
     assert pf.factors == ((1_000_003, 47), (1_000_033, 47))
     assert pf.complete
+    # 2014 bits: the exponent 101 sits just below the bound (2014 - 1) // 19
+    pf = factor(1_000_003 ** 101)
+    assert pf.factors == ((1_000_003, 101),)
+    assert pf.complete
 
 
 def test_factor_budget_exhaustion():

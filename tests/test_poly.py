@@ -10,7 +10,6 @@ from fracmat import mat_det
 
 from sexticfield.poly import (
     ExtField,
-    ModPoly,
     Poly,
     PrimeField,
     X,
@@ -26,7 +25,6 @@ from sexticfield.poly import (
     phi_expansion,
     poly_gcd_mod_p,
     reduce_poly,
-    resultant,
     trinomial,
 )
 
@@ -132,8 +130,8 @@ def test_reduce_poly_and_residues():
     with pytest.raises(ValueError):
         reduce_poly(Poly((Fraction(1, 2),)), 2)
     assert reduce_poly(Poly((4, 8)), 2).coeffs == ()
-    assert ModPoly.make(5, (7, -1)).coeffs == (2, 4)
-    assert ModPoly.make(5, (7, -1)).lift() == Poly((2, 4))
+    assert reduce_poly(Poly((7, -1)), 5).coeffs == (2, 4)
+    assert reduce_poly(Poly((7, -1)), 5).lift() == Poly((2, 4))
 
 
 def test_prime_field():
@@ -189,25 +187,50 @@ def sympy_factors_mod_p(F: Poly, p: int):
 
 
 def test_factor_mod_p_against_sympy():
-    rng = random.Random(11)
-    primes = [2, 3, 5, 7, 13, 17, 101, 1009]
-    for _ in range(120):
-        p = rng.choice(primes)
-        deg = rng.randint(1, 6)
-        cs = [rng.randint(0, p - 1) for _ in range(deg)] + [1]
-        F = Poly(cs)
+    wants = {}  # sympy's answer by F mod p; the trinomials repeat residues
+
+    def check(F, p):
         unit, facs = factor_mod_p(F, p)
         assert unit == 1
         got = sorted(
             ((f.coeffs, e) for f, e in facs), key=lambda t: (len(t[0]) - 1, t[0])
         )
-        want = sympy_factors_mod_p(F, p)
-        assert got == want, (p, cs)
+        key = reduce_poly(F, p)
+        if key not in wants:
+            wants[key] = sympy_factors_mod_p(F, p)
+        want = wants[key]
+        assert got == want, (p, F)
         # multiplicities reconstruct the polynomial
         prod = Poly((1,))
         for f, e in facs:
             prod = prod * f.lift() ** e
         assert reduce_poly(prod, p) == reduce_poly(F, p)
+
+    rng = random.Random(11)
+
+    def monic(p, deg):
+        return Poly([rng.randint(0, p - 1) for _ in range(deg)] + [1])
+
+    primes = [2, 3, 5, 7, 13, 17, 101, 1009]
+    for _ in range(120):
+        p = rng.choice(primes)
+        check(monic(p, rng.randint(1, 6)), p)
+    # repeated factors g1^e1 * g2^e2 on the one path every prime takes,
+    # up to a squared cubic (degree 6) and degree 7
+    for p in (2, 3, 5, 7, 11, 13, 1_000_003):
+        check(monic(p, 3) ** 2, p)
+        check(monic(p, 3) ** 2 * monic(p, 1), p)
+        for _ in range(12):
+            d1, d2 = rng.randint(1, 3), rng.randint(1, 3)
+            e1, e2 = rng.randint(1, 3), rng.randint(1, 2)
+            if d1 * e1 + d2 * e2 <= 7:
+                check(monic(p, d1) ** e1 * monic(p, d2) ** e2, p)
+    # degree above 7 at p = 2
+    check(monic(2, 3) ** 2 * monic(2, 4) * monic(2, 2) ** 3, 2)
+    for p in (2, 3, 5, 7, 11, 13):
+        for a in range(-12, 13):
+            for b in range(-12, 13):
+                check(trinomial(a, b), p)
 
 
 def test_factor_mod_p_nonmonic_unit():
@@ -230,27 +253,24 @@ def test_poly_gcd_mod_p():
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    st.lists(st.integers(-20, 20), min_size=1, max_size=6),
-    st.lists(st.integers(-20, 20), min_size=1, max_size=6),
-)
-def test_resultant_matches_sylvester(ac, bc):
-    A, B = Poly(ac), Poly(bc)
-    if A.is_zero() or B.is_zero():
-        return
-    assert resultant(A, B) == sylvester_resultant(A, B)
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=6))
+def test_discriminant_matches_sylvester(tail):
+    # disc(F) = (-1)^(n(n-1)/2) Res(F, F') for monic F of degree n in 1..6
+    F = Poly(tail + [1])
+    n = F.degree
+    res = sylvester_resultant(F, F.derivative())
+    assert discriminant(F) == (-1) ** (n * (n - 1) // 2) * res
 
 
-def test_resultant_specific():
-    # disc(x^6 + a*x + b) = 5^5 a^6 - 6^6 b^5, equivalently -Res(f, f')
+def test_discriminant_specific():
+    # disc(x^6 + a*x + b) = 5^5 a^6 - 6^6 b^5
     for a, b in [(4, 4), (1, 1), (-7, 12), (0, 5), (3, 0), (-2, -3)]:
         f = trinomial(a, b)
-        if f.derivative().is_zero():
-            continue
         assert discriminant(f) == 3125 * a ** 6 - 46656 * b ** 5
-        assert -resultant(f, f.derivative()) == discriminant(f)
         ds = sympy.discriminant(to_sympy(f), x)
         assert discriminant(f) == int(ds)
+    with pytest.raises(ValueError):
+        discriminant(Poly((1,)))
 
 
 def test_char_poly_scalar_and_linear():
