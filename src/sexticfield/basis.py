@@ -11,6 +11,7 @@ forms so two presentations of the same lattice compare equal.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .exact import InternalError, PrimeFactorization, crt_lift, factor, hnf, vp
 from .poly import Poly
@@ -190,19 +191,53 @@ class Assembly:
 def assemble(field: TrinomialField, factor_budget: int = 2_000_000) -> Assembly:
     """Factor the discriminant, treat every prime factor, and glue.
 
-    If the factorization stops at the budget, primes hiding in the
-    remaining cofactor are assumed not to divide the index; that is
-    recorded as a warning rather than an error, since a cofactor that
-    resists the budget is almost always squarefree.
+    For p > 5 a prime dividing D and one of a, b divides both, so the
+    primes of D that divide ab are those of gcd(a, b).  The gcd is
+    factored first, under the same budget, and its primes are divided
+    out of D before `factor` runs rho on the rest.  A prime left in the
+    rest's unsplit cofactor is then prime to 30ab, which puts it in case
+    H11 or H12, where its part of the index is p^floor(v_p(D)/2).  So
+    the one assumption left is that this part of the cofactor is
+    squarefree; it is recorded as a warning rather than an error, since
+    a cofactor that resists the budget is almost always squarefree.
+    A part of the gcd that stays unsplit gets its own warning, since
+    its primes can fall in H2-H10 with large index powers; its part of
+    D joins the cofactor without a second rho run.
     """
     D = field.D
-    pf = factor(D, budget=factor_budget)
     warnings = []
-    if not pf.complete:
+    gcd_factors = []
+    rest = D
+    hidden = 1
+    g = math.gcd(field.a, field.b)
+    if g > 1:
+        gf = factor(g, budget=factor_budget)
+        for p in gf.primes():
+            e = vp(D, p)
+            gcd_factors.append((p, e))
+            rest //= p ** e
+        unsplit = abs(gf.cofactor)
+        if unsplit != 1:
+            warnings.append(
+                f"gcd(a, b) of the normalized pair keeps an unfactored part "
+                f"of {unsplit.bit_length()} bits; its primes stay in the "
+                f"discriminant's cofactor and are assumed not to divide "
+                f"the index"
+            )
+            while (h := math.gcd(rest, unsplit)) > 1:
+                rest //= h
+                hidden *= h
+    rest_pf = factor(rest, budget=factor_budget)
+    pf = PrimeFactorization(
+        factors=tuple(sorted(rest_pf.factors + tuple(gcd_factors))),
+        cofactor=rest_pf.cofactor * hidden,
+    )
+    if not rest_pf.complete:
         warnings.append(
             f"discriminant factorization incomplete (cofactor of "
-            f"{abs(pf.cofactor).bit_length()} bits); any prime hiding in it "
-            f"is assumed not to divide the index"
+            f"{abs(pf.cofactor).bit_length()} bits); the part of it prime "
+            f"to 30ab is assumed squarefree, so no prime in that part "
+            f"divides the index"
         )
     per = tuple(p_integral_basis(p, field) for p, _ in pf.factors)
     return Assembly(

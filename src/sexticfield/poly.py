@@ -2,11 +2,11 @@
 
 The `Poly` class stores coefficients ascending (coeffs[i] is the
 coefficient of x^i) as ints or Fractions.  On top of it sit the
-phi-adic expansion used by the Newton-polygon machinery, characteristic
-polynomials of algebraic numbers given in root-power coordinates
-(division-free Berkowitz on the integer multiplication matrix), the
-discriminant as the norm of f'(theta) from that same kernel, and
-complete factorization modulo a prime by one distinct-degree /
+phi-adic expansion used by the Newton-polygon machinery, the
+integrality test for algebraic numbers given in root-power coordinates
+(their characteristic polynomials by division-free Berkowitz on the
+integer multiplication matrix), the discriminant as the norm of
+f'(theta) from that same kernel, and complete factorization modulo a prime by one distinct-degree /
 equal-degree factorizer that serves every p.
 
 Finite-field arithmetic is written generically against a small "field
@@ -582,20 +582,6 @@ def _char_poly_numerators(g: Poly, t: int, f: Poly):
         M.append([h[k] for k in range(n)])
         h = (h * X).divmod_by(f)[1]
     return _berkowitz(M)
-
-
-def char_poly_of_element(g: Poly, t: int, f: Poly) -> Poly:
-    """Characteristic polynomial of g(theta)/t over Q, theta a root of f.
-
-    f must be monic of degree n with integer coefficients, g an integer
-    polynomial, t a positive integer.  The result is the monic degree-n
-    polynomial whose roots are g(theta_i)/t over all conjugates; its
-    coefficient of y^(n-k) is c_k / t^k, with c_k from Berkowitz on the
-    integer multiplication matrix of g(theta).
-    """
-    c = _char_poly_numerators(g, t, f)
-    n = len(c) - 1
-    return Poly(tuple(Fraction(c[n - k], t ** (n - k)) for k in range(n + 1)))
 
 
 def is_integral(g: Poly, t: int, f: Poly) -> bool:

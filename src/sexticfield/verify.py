@@ -5,7 +5,10 @@ are checked through characteristic polynomials, p-maximality of the
 power order through the classical gcd criterion, and p-maximality of an
 arbitrary order through Cohen's criterion on the p-radical.  Agreement
 between these oracles and the table-driven pipeline is what the test
-suite leans on.
+suite leans on.  The CLI calls the two maximality oracles only at
+primes with v_p(D) >= 2: at the others the index relation
+D = [O_K : Z[theta]]^2 * d_K already proves p-maximality.  Both stay
+complete for every p, so the tests can check that they agree there.
 
 All of it is integer arithmetic: lattice coordinates come from one
 triangular back-substitution with exact division, and the maximality

@@ -1,10 +1,14 @@
 """Small Fraction matrix helpers (row-major tuples), for tests only.
 
 They are the straightforward rational reference that the integer
-verification kernel of the package is checked against.
+verification kernel of the package is checked against, together with
+the rational characteristic polynomial that the kernel's integrality
+test reads.
 """
 
 from fractions import Fraction
+
+from sexticfield.poly import Poly, _char_poly_numerators
 
 
 def mat_identity(n: int):
@@ -59,3 +63,17 @@ def mat_inv(A):
                 c = M[i][j]
                 M[i] = [x - c * y for x, y in zip(M[i], M[j])]
     return tuple(tuple(row[n:]) for row in M)
+
+
+def char_poly_of_element(g: Poly, t: int, f: Poly) -> Poly:
+    """Characteristic polynomial of g(theta)/t over Q, theta a root of f.
+
+    f must be monic of degree n with integer coefficients, g an integer
+    polynomial, t a positive integer.  The result is the monic degree-n
+    polynomial whose roots are g(theta_i)/t over all conjugates; its
+    coefficient of y^(n-k) is c_k / t^k, with c_k from Berkowitz on the
+    integer multiplication matrix of g(theta).
+    """
+    c = _char_poly_numerators(g, t, f)
+    n = len(c) - 1
+    return Poly(tuple(Fraction(c[n - k], t ** (n - k)) for k in range(n + 1)))

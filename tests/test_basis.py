@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from casegen import instance
 from fracmat import mat_det
@@ -14,7 +16,7 @@ from sexticfield.basis import (
     field_discriminant,
     prime_exponent_profile,
 )
-from sexticfield.exact import InternalError
+from sexticfield.exact import InternalError, is_prime, vp
 from sexticfield.sextic import normalize, p_integral_basis
 
 
@@ -158,3 +160,29 @@ def test_integral_basis_validation():
             index=4,
             d_K=5,
         )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(2 ** 40, 2 ** 60),
+    st.integers(1, 6),
+    st.integers(1, 7),
+    st.integers(-10 ** 6, 10 ** 6).filter(bool),
+    st.integers(-10 ** 6, 10 ** 6).filter(bool),
+)
+def test_gcd_primes_reach_the_case_tables(g, i, j, u, v):
+    """A 40-60-bit prime of gcd(a, b) is classified at a tiny budget.
+
+    a = g^i * u and b = g^j * v with (i, j) not normalizable, so g stays
+    in gcd(a, b) and divides D to a power that rho cannot reach in 100
+    steps; assemble must find it through the gcd anyway.
+    """
+    while not is_prime(g):
+        g += 1
+    assume(i < 5 or j < 6)
+    a, b = g ** i * u, g ** j * v
+    assume(3125 * a ** 6 != 46656 * b ** 5)
+    field = normalize(a, b, factor_budget=100)
+    assembly = assemble(field, factor_budget=100)
+    assert assembly.discriminant_factors.exponent(g) == vp(field.D, g) > 0
+    assert p_integral_basis(g, field) in assembly.per_prime

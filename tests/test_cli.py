@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -5,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from sexticfield import cli
+from sexticfield.basis import IntegralBasis, assemble
 from sexticfield.cli import run
-from sexticfield.sextic import CASE_LABELS, p_integral_basis
+from sexticfield.sextic import CASE_LABELS, normalize, p_integral_basis
+from sexticfield.verify import OrderPresentation
 
 from casegen import instance
 
@@ -274,7 +277,114 @@ def test_unsplit_gcd_warns(capsys):
         ["--a", str(7 * m), "--b", str(5 * m), "--json", "--factor-budget", "100"],
     )
     assert code == 0
-    assert json.loads(out)["warnings"][0] == (
+    # m^5 is the whole cofactor of D: the rest of D factors completely,
+    # so only the gcd's own warning speaks for it
+    report = json.loads(out)
+    assert report["discriminant"]["unfactored_cofactor"] == str(m ** 5)
+    assert report["warnings"] == [
         "gcd(a, b) keeps an unfactored cofactor of 196 bits; sixth-power "
-        "content in it is assumed absent"
+        "content in it is assumed absent",
+        "gcd(a, b) of the normalized pair keeps an unfactored part of 196 "
+        "bits; its primes stay in the discriminant's cofactor and are "
+        "assumed not to divide the index",
+    ]
+
+
+def test_full_verify_runs_oracles_only_where_the_index_can_live(
+    capsys, monkeypatch
+):
+    """D = -(2^12 * 8539) for (4, 4): only p = 2 needs the oracles."""
+    seen = {"maximality": [], "dedekind": []}
+
+    def counting(name, oracle):
+        def wrapper(x, p):
+            seen[name].append(p)
+            return oracle(x, p)
+        return wrapper
+
+    monkeypatch.setattr(
+        cli, "maximality_test", counting("maximality", cli.maximality_test)
     )
+    monkeypatch.setattr(
+        cli, "dedekind_maximal_at_p",
+        counting("dedekind", cli.dedekind_maximal_at_p),
+    )
+    code, out, err = _capture(
+        capsys, ["--a", "4", "--b", "4", "--json", "--verify", "full"]
+    )
+    assert code == 0
+    assert err == ""
+    assert out == (GOLDEN / "a4_b4_full.json").read_text()
+    assert seen == {"maximality": [2], "dedekind": [2]}
+
+
+def test_low_valuation_prime_in_the_index_fails_maximality(
+    capsys, monkeypatch
+):
+    """A basis with 8539 in its index fails maximality_at_8539, v(D) = 1.
+
+    No lattice with that index is a ring, so the ring certificate is
+    built from the honest basis; that isolates the maximality decision.
+    """
+    honest = assemble(normalize(4, 4))
+    basis = honest.basis
+    tampered = dataclasses.replace(
+        honest,
+        basis=IntegralBasis(
+            rows=basis.rows,
+            denominators=basis.denominators[:5]
+            + (basis.denominators[5] * 8539,),
+            index=basis.index * 8539,
+            d_K=basis.d_K,
+        ),
+    )
+
+    class HonestRing:
+        @staticmethod
+        def from_triangular(rows, denominators, f):
+            return OrderPresentation.from_triangular(
+                basis.rows, basis.denominators, f
+            )
+
+    monkeypatch.setattr(cli, "assemble", lambda field, factor_budget: tampered)
+    monkeypatch.setattr(cli, "OrderPresentation", HonestRing)
+    code, out, err = _capture(
+        capsys, ["--a", "4", "--b", "4", "--json", "--verify", "full"]
+    )
+    assert code == 1
+    assert err == ""
+    checks = {
+        c["name"]: c["passed"]
+        for c in json.loads(out)["verification"]["checks"]
+    }
+    assert checks["maximality_at_8539"] is False
+    assert checks["maximality_at_2"] is True
+
+
+def test_hidden_gcd_prime_is_classified(capsys):
+    """A 46-bit prime dividing a and b is found from gcd(a, b).
+
+    D carries it to the tenth power inside a cofactor that rho cannot
+    split at this budget; at p the field is case H4, so p^3 divides the
+    index.
+    """
+    p = 35184372088891
+    a, b = p ** 2 * 1000000000039, p ** 2 * 999999999989
+    code, out, err = _capture(
+        capsys,
+        ["--a", str(a), "--b", str(b), "--json", "--verify", "full",
+         "--factor-budget", "10000"],
+    )
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    by_prime = {entry["prime"]: entry for entry in report["primes"]}
+    assert by_prime[str(p)]["case"] == "H4"
+    assert by_prime[str(p)]["v_D"] == "10"
+    assert int(report["index"]) % p ** 3 == 0
+    assert report["verification"]["all_passed"]
+    assert report["warnings"] == [
+        "discriminant factorization incomplete (cofactor of 341 bits); the "
+        "part of it prime to 30ab is assumed squarefree, so no prime in "
+        "that part divides the index"
+    ]

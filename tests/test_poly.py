@@ -6,14 +6,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracmat import mat_det
+from fracmat import char_poly_of_element, mat_det
 
 from sexticfield.poly import (
     ExtField,
     Poly,
     PrimeField,
     X,
-    char_poly_of_element,
     discriminant,
     factor_mod_p,
     fp_divmod,

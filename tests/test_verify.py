@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from casegen import instance
-from fracmat import mat_inv
+from fracmat import char_poly_of_element, mat_inv
 from sexticfield.basis import assemble
 from sexticfield.exact import factor
-from sexticfield.poly import Poly, char_poly_of_element, is_integral, trinomial
+from sexticfield.poly import Poly, is_integral, trinomial
 from sexticfield.sextic import normalize, p_integral_basis
 from sexticfield.verify import (
     OrderPresentation,
@@ -124,6 +124,41 @@ def test_maximality_test_agrees_with_dedekind():
             assert maximality_test(power, p) == dedekind_maximal_at_p(f, p), \
                 (a, b, p)
         pairs += 1
+
+
+def test_oracles_confirm_the_low_valuation_proof():
+    """At v_p(D) <= 1 both oracles return what the index relation proves.
+
+    The CLI skips them there, since D = [O_K : Z[theta]]^2 * d_K keeps
+    p out of the index; computed anyway, they must agree, for the glued
+    order and for Z[theta] itself.
+    """
+    rng = random.Random(6131)
+    checked = 0
+    pairs = 0
+    while pairs < 20:
+        a = rng.randint(-3000, 3000)
+        b = rng.randint(-3000, 3000)
+        if b == 0 or 3125 * a ** 6 == 46656 * b ** 5:
+            continue
+        field = normalize(a, b)
+        assembly = assemble(field)
+        assert assembly.discriminant_factors.complete
+        basis = assembly.basis
+        f = field.f
+        order = OrderPresentation.from_triangular(
+            basis.rows, basis.denominators, f
+        )
+        power = OrderPresentation.from_triangular(POWER_ROWS, (1,) * 6, f)
+        for p, e in assembly.discriminant_factors.factors:
+            if e > 1:
+                continue
+            assert maximality_test(order, p), (a, b, p)
+            assert maximality_test(power, p), (a, b, p)
+            assert dedekind_maximal_at_p(f, p), (a, b, p)
+            checked += 1
+        pairs += 1
+    assert checked >= 20
 
 
 def test_solve_triangular_against_inverse():
