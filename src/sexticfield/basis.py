@@ -193,10 +193,11 @@ def assemble(field: TrinomialField, factor_budget: int = 2_000_000) -> Assembly:
 
     For p > 5 a prime dividing D and one of a, b divides both, so the
     primes of D that divide ab are those of gcd(a, b).  The gcd is
-    factored first, under the same budget, and its primes are divided
-    out of D before `factor` runs rho on the rest.  A prime left in the
-    rest's unsplit cofactor is then prime to 30ab, which puts it in case
-    H11 or H12, where its part of the index is p^floor(v_p(D)/2).  So
+    factored first, under the same budget, unless `normalize` already
+    did (`field.gcd_factors`), and its primes are divided out of D
+    before `factor` runs rho on the rest.  A prime left in the rest's
+    unsplit cofactor is then prime to 30ab, which puts it in case H11
+    or H12, where its part of the index is p^floor(v_p(D)/2).  So
     the one assumption left is that this part of the cofactor is
     squarefree; it is recorded as a warning rather than an error, since
     a cofactor that resists the budget is almost always squarefree.
@@ -211,7 +212,9 @@ def assemble(field: TrinomialField, factor_budget: int = 2_000_000) -> Assembly:
     hidden = 1
     g = math.gcd(field.a, field.b)
     if g > 1:
-        gf = factor(g, budget=factor_budget)
+        gf = field.gcd_factors
+        if gf is None:
+            gf = factor(g, budget=factor_budget)
         for p in gf.primes():
             e = vp(D, p)
             gcd_factors.append((p, e))

@@ -77,6 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# parse_args leaves the parser as it is, so one instance serves every run
+_PARSER = build_parser()
+
+
 # ---------------------------------------------------------------------------
 # rendering helpers
 
@@ -498,9 +502,8 @@ def _render_text(report) -> str:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         report, code = _execute(args)
         out = (json.dumps(report, indent=2) + "\n" if args.json
                else _render_text(report))

@@ -453,12 +453,15 @@ def hnf(rows):
     if len(rows) < n:
         raise ValueError("need at least as many rows as columns")
 
+    # ints and Fractions both carry .numerator and .denominator, so no
+    # entry needs converting
     den = 1
     for r in rows:
         for x in r:
-            f = Fraction(x)
-            den = den * f.denominator // math.gcd(den, f.denominator)
-    work = [[int(Fraction(x) * den) for x in r] for r in rows]
+            d = x.denominator
+            if d != 1:
+                den = den * d // math.gcd(den, d)
+    work = [[x.numerator * (den // x.denominator) for x in r] for r in rows]
 
     m = len(work)
     # eliminate columns right to left; the pivot for column j lands in the

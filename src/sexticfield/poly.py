@@ -5,9 +5,11 @@ coefficient of x^i) as ints or Fractions.  On top of it sit the
 phi-adic expansion used by the Newton-polygon machinery, the
 integrality test for algebraic numbers given in root-power coordinates
 (their characteristic polynomials by division-free Berkowitz on the
-integer multiplication matrix), the discriminant as the norm of
-f'(theta) from that same kernel, and complete factorization modulo a prime by one distinct-degree /
-equal-degree factorizer that serves every p.
+integer multiplication matrix, run modulo t^n for an element over
+denominator t, and skipped for t = 1), the discriminant as the norm of
+f'(theta) from that same kernel over Z, and complete factorization
+modulo a prime by one distinct-degree / equal-degree factorizer that
+serves every p.
 
 Finite-field arithmetic is written generically against a small "field
 object" protocol (PrimeField / ExtField) so the same gcd and power-mod
@@ -547,12 +549,14 @@ def poly_gcd_mod_p(A: Poly, B: Poly, p: int) -> ModPoly:
 # characteristic polynomials and the discriminant
 
 
-def _berkowitz(M):
+def _berkowitz(M, modulus=0):
     """[1, c_1, ..., c_n] with det(y*I - M) = y^n + c_1 y^(n-1) + ... + c_n.
 
     Berkowitz (1984): the characteristic polynomial of each leading
     principal submatrix is a Toeplitz matrix times that of the one
     before, using only ring operations, so integer input stays integer.
+    With a nonzero `modulus` every intermediate vector is reduced into
+    [0, modulus), which gives the c_k mod modulus.
     """
     vect = [1, -M[0][0]]
     for r in range(1, len(M)):
@@ -562,34 +566,66 @@ def _berkowitz(M):
         for _ in range(r):
             col.append(-sum(x * y for x, y in zip(R, v)))
             v = [sum(M[i][j] * v[j] for j in range(r)) for i in range(r)]
+            if modulus:
+                v = [x % modulus for x in v]
         vect = [
             sum(col[i - j] * vect[j] for j in range(min(i, r) + 1))
             for i in range(r + 2)
         ]
+        if modulus:
+            vect = [x % modulus for x in vect]
     return vect
 
 
-def _char_poly_numerators(g: Poly, t: int, f: Poly):
-    """det(y*I - M_g) as [1, c_1, ..., c_n], M_g multiplication by g(theta)."""
+def _check_element(g: Poly, t: int, f: Poly) -> None:
+    """Input of the integrality kernel: t > 0, f monic over Z, g over Z."""
     if t <= 0:
         raise ValueError("denominator must be positive")
     if not (f.is_monic() and f.is_integer() and g.is_integer()):
         raise ValueError("integer monic f and integer g expected")
+
+
+def _multiplication_matrix(g: Poly, f: Poly, modulus=0):
+    """Rows g(theta)*theta^r in the power basis, r = 0..n-1.
+
+    With a nonzero `modulus` the entries are reduced into [0, modulus).
+    """
     n = f.degree
     h = g.divmod_by(f)[1]
+    fc = f.coeffs[:n]
+    row = [h[k] for k in range(n)]
     M = []
     for _ in range(n):
-        M.append([h[k] for k in range(n)])
-        h = (h * X).divmod_by(f)[1]
-    return _berkowitz(M)
+        if modulus:
+            row = [x % modulus for x in row]
+        M.append(row)
+        # times theta: shift up one power and subtract top * f
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [x - top * c for x, c in zip(row, fc)]
+    return M
+
+
+def _char_poly_numerators(g: Poly, t: int, f: Poly):
+    """det(y*I - M_g) as [1, c_1, ..., c_n], M_g multiplication by g(theta)."""
+    _check_element(g, t, f)
+    return _berkowitz(_multiplication_matrix(g, f))
 
 
 def is_integral(g: Poly, t: int, f: Poly) -> bool:
     """Is g(theta)/t an algebraic integer (theta a root of monic f)?
 
-    Exactly when t^k divides every c_k of det(y*I - M_g).
+    Exactly when t^k divides every c_k of det(y*I - M_g).  A row over
+    denominator 1 needs no test: after the input checks the answer is
+    True for every integer g.  For t > 1 Berkowitz runs in Z/t^n,
+    n = deg f, since t^k | c_k depends only on c_k mod t^n for k <= n.
     """
-    c = _char_poly_numerators(g, t, f)
+    _check_element(g, t, f)
+    if t == 1:
+        return True
+    m = t ** f.degree
+    c = _berkowitz(_multiplication_matrix(g, f, m), m)
     return all(ck % t ** k == 0 for k, ck in enumerate(c))
 
 

@@ -49,6 +49,7 @@ from .exact import (
     INF,
     TRIAL_LIMIT,
     InternalError,
+    PrimeFactorization,
     factor,
     floor_root,
     is_prime,
@@ -89,6 +90,10 @@ class TrinomialField:
     by (p^(5e), p^(6e)).  `D2` is the odd part of D (sign included).
     `unsplit_content` is the part of gcd(a, b) that normalization could
     not factor within its budget (1 when every content prime is known).
+    `gcd_factors` factors gcd(a, b) of the normalized pair when
+    normalization had to call `factor` on the input's gcd, so that
+    `assemble` need not factor it again; it is None when normalization
+    only trial-divided.
     """
 
     a: int
@@ -99,6 +104,7 @@ class TrinomialField:
     normalization: tuple
     original: tuple
     unsplit_content: int = 1
+    gcd_factors: PrimeFactorization | None = None
 
 
 def trinomial_discriminant(a: int, b: int) -> int:
@@ -126,8 +132,10 @@ def normalize(a: int, b: int, factor_budget: int = 2_000_000) -> TrinomialField:
     division of the gcd up to B finds every one of them.  Above that
     the gcd goes to `factor` under `factor_budget`; a part of it that
     stays unsplit is kept in `unsplit_content`, and content there is
-    assumed absent.  b = 0 is rejected outright (x divides the
-    trinomial).
+    assumed absent.  The normalized pair's gcd divides the input's and
+    loses only primes that `factor` found, so its factorization is read
+    off that one and kept in `gcd_factors`.  b = 0 is rejected outright
+    (x divides the trinomial).
     """
     if b == 0:
         raise ValueError("b = 0: x divides x^6 + a*x, so no sextic field arises")
@@ -137,6 +145,7 @@ def normalize(a: int, b: int, factor_budget: int = 2_000_000) -> TrinomialField:
     if a != 0:
         bound = min(bound, floor_root(abs(a), 5))
     unsplit = 1
+    pf = None
     if bound <= TRIAL_LIMIT:
         # p^5 | g keeps g >= p^2 until p's block, so trial division
         # strips every content prime and the rest can be dropped
@@ -154,6 +163,16 @@ def normalize(a: int, b: int, factor_budget: int = 2_000_000) -> TrinomialField:
             applied.append((p, e))
             a //= p ** (5 * e)
             b //= p ** (6 * e)
+    gcd_factors = None
+    if pf is not None:
+        rest = math.gcd(a, b)
+        found = []
+        for p in primes:
+            e = vp(rest, p)
+            if e:
+                found.append((p, e))
+                rest //= p ** e
+        gcd_factors = PrimeFactorization(factors=tuple(found), cofactor=rest)
     D = trinomial_discriminant(a, b)
     D2 = D >> vp(D, 2)
     return TrinomialField(
@@ -165,6 +184,7 @@ def normalize(a: int, b: int, factor_budget: int = 2_000_000) -> TrinomialField:
         normalization=tuple(applied),
         original=original,
         unsplit_content=unsplit,
+        gcd_factors=gcd_factors,
     )
 
 

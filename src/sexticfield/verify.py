@@ -1,7 +1,10 @@
 """Independent certification of computed orders.
 
 Nothing here reuses the case analysis that produced a basis: elements
-are checked through characteristic polynomials, p-maximality of the
+are checked through characteristic polynomials (`poly.is_integral`,
+where a row over denominator 1 needs no test and Berkowitz runs mod
+t^6 for a row over t), ring closure through the 21 products e_i * e_j
+with i <= j, since the order is commutative, p-maximality of the
 power order through the classical gcd criterion, and p-maximality of an
 arbitrary order through Cohen's criterion on the p-radical.  Agreement
 between these oracles and the table-driven pipeline is what the test
@@ -61,8 +64,9 @@ class OrderPresentation:
     The basis elements are the triangular theta-power rows over their
     denominators, with lcm `denominator`; `mult_table[i][j]` gives the
     integer coordinates of the product of basis elements i and j back in
-    the order basis.  The table is computed eagerly at construction and
-    the constructor refuses lattices that are not closed under
+    the order basis.  The table is computed eagerly at construction, from
+    the 21 products with i <= j since multiplication commutes, and the
+    constructor refuses lattices that are not closed under
     multiplication, so holding an OrderPresentation is itself the
     certificate that the lattice is a ring.
     """
@@ -88,10 +92,11 @@ class OrderPresentation:
         # contains 1, theta, ..., theta^5 by construction
         full = [tuple(rows[i]) + (1,) for i in range(6)]
         polys = [Poly(r) for r in full]
-        table = []
+        # the order is commutative: e_j * e_i is e_i * e_j, so the 21
+        # products with i <= j fill the whole table
+        table = [[None] * 6 for _ in range(6)]
         for i in range(6):
-            line = []
-            for j in range(6):
+            for j in range(i, 6):
                 prod = (polys[i] * polys[j]).divmod_by(f)[1]
                 coords = _solve_triangular(
                     full, denominators, [prod[k] for k in range(6)],
@@ -101,10 +106,10 @@ class OrderPresentation:
                     raise ValueError(
                         "lattice is not closed under multiplication"
                     )
-                line.append(coords)
-            table.append(tuple(line))
+                table[i][j] = table[j][i] = coords
+        table = tuple(tuple(line) for line in table)
         return cls(
-            denominator=math.lcm(*denominators), f=f, mult_table=tuple(table)
+            denominator=math.lcm(*denominators), f=f, mult_table=table
         )
 
     def multiply(self, u, v):

@@ -290,6 +290,35 @@ def test_unsplit_gcd_warns(capsys):
     ]
 
 
+def test_unsplit_gcd_is_factored_once(capsys, monkeypatch):
+    """normalize's factorization of gcd(a, b) serves assemble too.
+
+    From 10^36 up normalize factors the gcd; assemble reads the
+    normalized gcd's factorization off it instead of running rho on the
+    same unsplit 196-bit part again.  The report, both warnings
+    included, is pinned by a golden.
+    """
+    from sexticfield import exact
+
+    calls = []
+    rho = exact._brent_rho
+
+    def counting(n, budget):
+        calls.append(n)
+        return rho(n, budget)
+
+    monkeypatch.setattr(exact, "_brent_rho", counting)
+    m = (2 ** 89 - 1) * (2 ** 107 - 1)
+    code, out, err = _capture(
+        capsys,
+        ["--a", str(7 * m), "--b", str(5 * m), "--json", "--factor-budget", "100"],
+    )
+    assert code == 0
+    assert err == ""
+    assert calls == [m]
+    assert out == (GOLDEN / "unsplit_gcd_budget100.json").read_text()
+
+
 def test_full_verify_runs_oracles_only_where_the_index_can_live(
     capsys, monkeypatch
 ):

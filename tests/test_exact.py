@@ -297,6 +297,41 @@ def test_hnf_unimodular_invariance(mat, denom):
     assert H1 == H2
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(3, 6),
+    st.integers(0, 3),
+    st.lists(st.integers(-40, 40), min_size=54, max_size=54),
+    st.lists(st.sampled_from((1, 1, 1, 2, 3, 4, 9)), min_size=54, max_size=54),
+)
+def test_hnf_reads_ints_as_fractions(n, extra, entries, dens):
+    """hnf reads numerator and denominator off each entry directly; the
+    result is that of the same rows wrapped in Fraction, for integer
+    rows, for rows with denominators, and with more rows than columns.
+    Both also equal the form of the rows cleared of denominators by
+    their lcm L, with L put back into the denominator."""
+    m = n + extra
+    ints = [entries[i * n:(i + 1) * n] for i in range(m)]
+    mixed = [
+        [x if d == 1 else Fraction(x, d) for x, d in zip(row, dens[i * n:])]
+        for i, row in enumerate(ints)
+    ]
+    for rows in (ints, mixed):
+        wrapped = [[Fraction(x) for x in row] for row in rows]
+        L = math.lcm(*(x.denominator for row in wrapped for x in row))
+        try:
+            H, den = hnf([[int(x * L) for x in row] for row in wrapped])
+        except ValueError:
+            for form in (rows, wrapped):
+                with pytest.raises(ValueError):
+                    hnf(form)
+            continue
+        g = math.gcd(den * L, *(x for row in H for x in row))
+        want = tuple(tuple(x // g for x in row) for row in H), den * L // g
+        assert hnf(rows) == want
+        assert hnf(wrapped) == want
+
+
 def test_prime_factorization_dataclass():
     pf = PrimeFactorization(factors=((2, 3), (5, 1)), cofactor=-1)
     assert pf.complete

@@ -321,3 +321,57 @@ def test_is_integral_examples():
     # from the worked integral basis of Q[x]/(x^6+12): theta^3/2 is integral
     assert is_integral(Poly((0, 0, 0, 1)), 2, f2)
     assert not is_integral(Poly((0, 0, 1)), 2, f2)
+
+
+# denominators of every kind: 1, primes, prime powers and composites
+_DENOMINATORS = (1, 2, 3, 5, 7, 4, 8, 9, 25, 27, 32, 6, 10, 12, 30, 36)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t=st.sampled_from(_DENOMINATORS),
+    ea=st.integers(0, 6),
+    eb=st.integers(0, 7),
+    u=st.integers(-50, 50),
+    v=st.integers(-50, 50),
+    h=st.lists(st.integers(-50, 50), min_size=1, max_size=8),
+    r=st.lists(st.integers(-3, 3), max_size=6),
+)
+def test_is_integral_matches_the_rational_char_poly(t, ea, eb, u, v, h, r):
+    """is_integral (skipped at t = 1, mod t^6 above) agrees with the
+    char poly of g(theta)/t over Q having integer coefficients.
+
+    f = x^6 + a*x + b with a = t^ea * u and b = t^eb * v, and
+    g = t*h + r, so theta^i/t sits on the boundary of integrality
+    (with r = theta, integral iff t^5 | a and t^6 | b) and r = () gives
+    integral elements.
+    """
+    f = trinomial(t ** ea * u, t ** eb * v)
+    g = Poly(tuple(t * x for x in h)) + Poly(tuple(r))
+    want = all(
+        Fraction(c).denominator == 1
+        for c in char_poly_of_element(g, t, f).coeffs
+    )
+    assert is_integral(g, t, f) == want
+
+
+def test_is_integral_at_the_modulus_boundary():
+    """theta/t has char poly f, so it is integral iff t^5 | a and t^6 | b;
+    with b = t^5 only c_6 fails, which reduction mod t^5 would miss."""
+    for t in _DENOMINATORS[1:]:
+        assert not is_integral(X, t, trinomial(t ** 5, t ** 5))
+        assert not is_integral(X, t, trinomial(t ** 4, t ** 6))
+        assert is_integral(X, t, trinomial(t ** 5, t ** 6))
+        assert is_integral(X + 3 * t, t, trinomial(-(t ** 5), 7 * t ** 6))
+
+
+def test_is_integral_validates_before_the_t_1_shortcut():
+    f = trinomial(4, 4)
+    non_monic = Poly((4, 4, 0, 0, 0, 0, 2))
+    with pytest.raises(ValueError):
+        is_integral(X, 1, non_monic)
+    with pytest.raises(ValueError):
+        is_integral(Poly((Fraction(1, 2), 1)), 1, f)
+    with pytest.raises(ValueError):
+        is_integral(X, 0, f)
+    assert is_integral(Poly((Fraction(4, 2), 1)), 1, f)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from casegen import instance
+from casegen import all_labels, instance
 from fracmat import char_poly_of_element, mat_inv
 from sexticfield.basis import assemble
 from sexticfield.exact import factor
@@ -233,3 +233,48 @@ def test_char_poly_matrix_cross_check():
         g = Poly(tuple(rng.randrange(-6, 7) for _ in range(6)))
         t = rng.choice((1, 2, 3, 4))
         assert _char_poly_by_matrix(g, t, f) == char_poly_of_element(g, t, f)
+
+
+def _table_by_fractions(rows, denominators, f):
+    """Multiplication table from all 36 products, solved over Q."""
+    basis = [
+        [Fraction(c, t) for c in tuple(row) + (1,)] + [0] * (5 - len(row))
+        for row, t in zip(rows, denominators)
+    ]
+    inverse = mat_inv(basis)
+    elements = [Poly(tuple(row) + (1,)) for row in rows]
+    table = []
+    for i in range(6):
+        line = []
+        for j in range(6):
+            prod = (elements[i] * elements[j]).divmod_by(f)[1]
+            den = denominators[i] * denominators[j]
+            coords = [
+                sum(Fraction(prod[k], den) * inverse[k][l] for k in range(6))
+                for l in range(6)
+            ]
+            assert all(c.denominator == 1 for c in coords), (i, j)
+            line.append(tuple(int(c) for c in coords))
+        table.append(tuple(line))
+    return tuple(table)
+
+
+def test_symmetric_table_matches_all_36_products():
+    """from_triangular computes 21 products and mirrors the rest; on two
+    instances of every case the table equals the one built from all 36,
+    and raising one denominator by p (a lattice no longer inside the
+    integers, so not a ring) still raises."""
+    rng = random.Random(36)
+    for label in all_labels():
+        for _ in range(2):
+            p, field = instance(label, rng)
+            pb = p_integral_basis(p, field)
+            dens = tuple(p ** k for k in pb.k)
+            order = OrderPresentation.from_triangular(pb.rows, dens, field.f)
+            assert order.mult_table == _table_by_fractions(
+                pb.rows, dens, field.f
+            ), (label, field.a, field.b)
+            for i in range(1, 6):
+                bad = dens[:i] + (dens[i] * p,) + dens[i + 1:]
+                with pytest.raises(ValueError):
+                    OrderPresentation.from_triangular(pb.rows, bad, field.f)
