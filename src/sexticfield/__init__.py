@@ -16,9 +16,7 @@ from .basis import (
     Assembly,
     IntegralBasis,
     assemble,
-    canonicalize,
     combine,
-    field_discriminant,
     prime_exponent_profile,
 )
 from .exact import InternalError, PrimeFactorization, factor
@@ -64,13 +62,11 @@ __all__ = [
     "TrinomialField",
     "assemble",
     "build_polygon",
-    "canonicalize",
     "classify",
     "combine",
     "dedekind_maximal_at_p",
     "discriminant",
     "factor",
-    "field_discriminant",
     "irreducibility_check",
     "is_integral",
     "lattice_index",

@@ -3,9 +3,10 @@
 Row by row, a global basis element only needs its coefficients to be
 congruent to each local row modulo that row's local denominator, so the
 per-prime lattices produced by `sextic.p_integral_basis` glue together
-through a CRT lift.  This module performs the gluing, derives the index
-of the power basis and the field discriminant, and provides canonical
-forms so two presentations of the same lattice compare equal.
+through a CRT lift.  This module performs the gluing and derives the
+index of the power basis and the field discriminant.  The glued rows
+are reduced by `sextic.reduce_triangular_rows`, so two presentations of
+the same lattice come out equal.
 """
 
 from __future__ import annotations
@@ -15,19 +16,12 @@ import math
 
 from .exact import InternalError, PrimeFactorization, crt_lift, factor, hnf, vp
 from .poly import Poly
-from .sextic import (
-    PAdicBasis,
-    TrinomialField,
-    p_integral_basis,
-    reduce_triangular_rows,
-)
+from .sextic import TrinomialField, p_integral_basis, reduce_triangular_rows
 
 __all__ = [
     "IntegralBasis",
     "Assembly",
     "combine",
-    "field_discriminant",
-    "canonicalize",
     "prime_exponent_profile",
     "assemble",
 ]
@@ -119,28 +113,6 @@ def combine(p_bases, D: int) -> IntegralBasis:
         denominators=tuple(denominators),
         index=index,
         d_K=d_K,
-    )
-
-
-def field_discriminant(D: int, index: int) -> int:
-    """Discriminant left after removing the square of the index."""
-    if index < 1:
-        raise ValueError("index must be a positive integer")
-    if D % (index * index):
-        raise ValueError(f"{index}^2 does not divide {D}")
-    return D // (index * index)
-
-
-def canonicalize(basis: IntegralBasis) -> IntegralBasis:
-    """Unique representative of the lattice spanned by `basis`.
-
-    Reduces each row by the earlier ones so 0 <= c_ij < t_i/t_j; two
-    triangular bases span the same lattice iff their canonical forms
-    are equal.  Idempotent.
-    """
-    return dataclasses.replace(
-        basis,
-        rows=reduce_triangular_rows(basis.rows, basis.denominators),
     )
 
 

@@ -240,7 +240,7 @@ def _execute(args):
         field = normalize(a, b, factor_budget=args.factor_budget)
     except ValueError:
         # b nonzero, so a zero discriminant means (a, b) = (6s^5, 5s^6)
-        s = _sixth_family_root(a, b)
+        s = _sixth_family_root(a)
         report["irreducibility"] = {
             "status": "reducible",
             "method": "zero discriminant: repeated root -s of the "
@@ -262,7 +262,7 @@ def _execute(args):
             f"in it is assumed absent"
         )
 
-    irr = irreducibility_check(field, factor_budget=args.factor_budget)
+    irr = irreducibility_check(field)
     report["irreducibility"] = {
         "status": irr.status,
         "method": irr.method,
@@ -272,12 +272,6 @@ def _execute(args):
     if irr.status == "reducible":
         report["discriminant"] = {"value": _s(field.D), "factors": None}
         return report, 2
-    if irr.status == "unknown":
-        warnings.append(
-            "irreducibility not established within the factor budget; "
-            "the results below assume it"
-        )
-
     f = field.f
     checks = []
 
@@ -329,13 +323,17 @@ def _execute(args):
         elif d_K is None:
             warnings.append("--pure ignored: field discriminant not computed")
         else:
-            pure = pure_sextic_discriminant(
-                field.b, factor_budget=args.factor_budget
-            )
-            checks.append({
-                "name": "pure_sextic_cross_check",
-                "passed": pure.d_K == d_K,
-            })
+            try:
+                pure = pure_sextic_discriminant(
+                    field.b, factor_budget=args.factor_budget
+                )
+            except ValueError as e:
+                warnings.append(f"--pure ignored: {e}")
+            else:
+                checks.append({
+                    "name": "pure_sextic_cross_check",
+                    "passed": pure.d_K == d_K,
+                })
 
     if args.verify != "none":
         ok = all(
@@ -386,14 +384,10 @@ def _execute(args):
     return report, 0 if all_passed else 1
 
 
-def _sixth_family_root(a, b) -> int:
-    if a:
-        mag = floor_root(abs(a) // 6, 5)
-        s = mag if a > 0 else -mag
-    else:
-        mag = floor_root(abs(b) // 5, 6)
-        s = mag  # b = 5s^6 forces b > 0 here; sign of s is free, pick +
-    return s
+def _sixth_family_root(a) -> int:
+    # D = 0 with b != 0 forces a = 6s^5 != 0
+    mag = floor_root(abs(a) // 6, 5)
+    return mag if a > 0 else -mag
 
 
 # ---------------------------------------------------------------------------

@@ -286,19 +286,8 @@ class ExtField:
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of 0")
-        K = PrimeField(self.p)
-        # extended Euclid in F_p[x] between a and the modulus, tracking
-        # s with s * a = r (mod modulus)
-        r0, r1 = list(self.modulus), _fp_strip(K, [x % self.p for x in a])
-        s0, s1 = [], [K.one]
-        while fp_deg(r1) > 0:
-            q, r = fp_divmod(K, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, fp_sub(K, s0, fp_mul(K, q, s1))
-        if not r1:
-            raise ZeroDivisionError("element not invertible (modulus not irreducible?)")
-        c = K.inv(r1[0])
-        res = fp_rem(K, [K.mul(c, x) for x in s1], list(self.modulus))
+        res = fp_inverse_mod(PrimeField(self.p), [x % self.p for x in a],
+                             list(self.modulus))
         return tuple(res + [0] * (self.r - len(res)))
 
     def is_zero(self, a):
@@ -379,6 +368,25 @@ def fp_gcd(K, a, b):
     while b:
         a, b = b, fp_rem(K, a, b)
     return fp_monic(K, a)
+
+
+def fp_inverse_mod(K, a, m):
+    """s with s*a = 1 (mod m) and deg s < deg m, for a prime to m.
+
+    Extended Euclid in K[x] between m and a, tracking s with
+    s*a = r (mod m) for the current remainder r.  Raises
+    ZeroDivisionError when gcd(a, m) is not a unit.
+    """
+    r0, r1 = list(m), _fp_strip(K, list(a))
+    s0, s1 = [], [K.one]
+    while fp_deg(r1) > 0:
+        q, r = fp_divmod(K, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, fp_sub(K, s0, fp_mul(K, q, s1))
+    if not r1:
+        raise ZeroDivisionError("not invertible: a and m share a factor")
+    c = K.inv(r1[0])
+    return fp_rem(K, [K.mul(c, x) for x in s1], list(m))
 
 
 def fp_deriv(K, a):

@@ -12,7 +12,11 @@ data into concrete objects:
     every larger prime;
   * a closed form for the field discriminant of pure sextics x^6 + b,
     used as an independent cross-check of the main pipeline;
-  * a certificate-producing irreducibility test tuned to trinomials.
+  * an irreducibility test that always decides and names its argument:
+    closed-form criteria for binomials, roots +-1 and ramification,
+    factor-degree patterns modulo small primes, and finally one Hensel
+    lift of f modulo a prime with an exhaustive search over products of
+    the lifted factors.  It never factors b.
 
 Each table row is
 
@@ -41,6 +45,7 @@ rather than guessing.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 from types import MappingProxyType, SimpleNamespace
@@ -57,7 +62,16 @@ from .exact import (
     trial_division,
     vp,
 )
-from .poly import Poly, factor_mod_p, trinomial
+from .poly import (
+    Poly,
+    PrimeField,
+    factor_mod_p,
+    fp_divmod,
+    fp_inverse_mod,
+    fp_mul,
+    fp_sub,
+    trinomial,
+)
 
 __all__ = [
     "TrinomialField",
@@ -726,9 +740,9 @@ def pure_sextic_discriminant(b: int, factor_budget: int = 2_000_000) -> PureSext
 class IrreducibilityReport:
     """Outcome of the irreducibility test.
 
-    status is "irreducible", "reducible", or "unknown"; `method` names
-    the deciding argument, and `witness` holds a proper monic factor
-    when status is "reducible".
+    status is "irreducible" or "reducible"; `method` names the deciding
+    argument, and `witness` holds a proper monic factor when status is
+    "reducible".
     """
 
     status: str
@@ -738,10 +752,6 @@ class IrreducibilityReport:
     @property
     def proven_irreducible(self) -> bool:
         return self.status == "irreducible"
-
-    @property
-    def proven_reducible(self) -> bool:
-        return self.status == "reducible"
 
 
 def _capelli_witness(b):
@@ -765,102 +775,89 @@ def _capelli_witness(b):
 
 _SIEVE_PRIMES = tuple(p for p in range(2, 101) if is_prime(p))
 _DIRECT_PRIMES = tuple(p for p in _SIEVE_PRIMES if p <= 37)
-_DIVISOR_CAP = 200_000
 
 
-def _divisor_list(fact):
-    divs = [1]
-    for p, e in fact.factors:
-        divs = [d * p ** i for d in divs for i in range(e + 1)]
-        if len(divs) > _DIVISOR_CAP:
-            return None
-    return divs
+def _reduce(P, m):
+    return Poly(tuple(c % m for c in P.coeffs))
 
 
-def _linear_factor(f, b, divisors):
-    for d in divisors:
-        for r in (d, -d):
-            if f(r) == 0:
-                return Poly((-r, 1))
+def _hensel_step(f, g, h, s, t, m):
+    """Lift f = g*h, s*g + t*h = 1 from modulus m to m^2; h monic.
+
+    von zur Gathen and Gerhard, Modern Computer Algebra, Algorithm 15.10.
+    """
+    m *= m
+    e = _reduce(f - g * h, m)
+    q, r = _reduce(s * e, m).divmod_by(h)
+    g, h = _reduce(g + t * e + q * g, m), _reduce(h + r, m)
+    c = _reduce(s * g + t * h - 1, m)
+    q, r = _reduce(s * c, m).divmod_by(h)
+    return g, h, _reduce(s - r, m), _reduce(t - t * c - q * g, m)
+
+
+def _hensel_lift(f, factors, p, M):
+    """Monic lifts modulo M = p^(2^j) of the factors of a squarefree f mod p.
+
+    Each factor in turn is split off the product of the ones after it,
+    and the pair is lifted quadratically from p to M.
+    """
+    K = PrimeField(p)
+    lifts = []
+    for i, g in enumerate(factors[:-1]):
+        h = [1]
+        for other in factors[i + 1:]:
+            h = fp_mul(K, h, list(other.coeffs))
+        s = fp_inverse_mod(K, list(g.coeffs), h)
+        t, _ = fp_divmod(K, fp_sub(K, [1], fp_mul(K, s, list(g.coeffs))), h)
+        g, h, s, t, m = g.lift(), Poly(h), Poly(s), Poly(t), p
+        while m < M:
+            g, h, s, t = _hensel_step(f, g, h, s, t, m)
+            m *= m
+        lifts.append(g)
+        f = h
+    return lifts + [f]
+
+
+def _lifted_factor(f, factors, p, need, bound):
+    """A monic factor of f of a degree in `need`, or None if none exists.
+
+    `factors` are the factors of f modulo p, which must not divide
+    disc(f).  A monic integer factor g of f is congruent modulo M to the
+    product of some of their lifts, and once M > 2*bound, bound covering
+    its coefficients, the symmetric residues of that product are g.
+    """
+    M = p
+    while M <= 2 * bound:
+        M *= M
+    lifts = _hensel_lift(f, [g for g, _ in factors], p, M)
+    for deg in need:
+        for size in range(1, deg + 1):
+            for combo in itertools.combinations(lifts, size):
+                if sum(g.degree for g in combo) != deg:
+                    continue
+                cand = Poly((1,))
+                for g in combo:
+                    cand = _reduce(cand * g, M)
+                cand = Poly(tuple(c - M if 2 * c > M else c for c in cand.coeffs))
+                if f.divmod_by(cand)[1].is_zero():
+                    return cand
     return None
 
 
-def _quadratic_factor(f, a, b, divisors):
-    # x^2 + u*x + w divides f  iff  b = w*(u^4 - 3u^2 w + w^2) and
-    # a = u*(u^2 - w)*(u^2 - 3w); eliminating u^2 leaves a square test.
-    for d in divisors:
-        for w in (d, -d):
-            m = b // w
-            s2 = 5 * w * w + 4 * m
-            if s2 < 0:
-                continue
-            s = math.isqrt(s2)
-            if s * s != s2:
-                continue
-            for sg in {s, -s}:
-                t2 = 3 * w + sg
-                if t2 % 2 or t2 < 0:
-                    continue
-                t = t2 // 2
-                u0 = math.isqrt(t)
-                if u0 * u0 != t:
-                    continue
-                for u in {u0, -u0}:
-                    if u * (u * u - w) * (u * u - 3 * w) == a:
-                        cand = Poly((w, u, 1))
-                        _, rem = f.divmod_by(cand)
-                        if rem.is_zero():
-                            return cand
-    return None
-
-
-def _cubic_factor(f, a, b, divisors):
-    # (x^3 + u x^2 + c1 x + w)(x^3 - u x^2 + d1 x + w') with w w' = b;
-    # matching coefficients forces 2(w - w') +- s = u^3 with
-    # s^2 = 4(w - w')^2 + (w + w')^2, then c1, d1 are determined.
-    for d in divisors:
-        for w in (d, -d):
-            wp = b // w
-            s2 = 4 * (w - wp) ** 2 + (w + wp) ** 2
-            s = math.isqrt(s2)
-            if s * s != s2:
-                continue
-            for sg in {s, -s}:
-                U = 2 * (w - wp) + sg
-                if U == 0:
-                    continue
-                r = floor_root(abs(U), 3)
-                u = r if U > 0 else -r
-                if u ** 3 != U:
-                    continue
-                tot = w + wp
-                if tot % u:
-                    continue
-                q = tot // u
-                if (u * u + q) % 2:
-                    continue
-                c1 = (u * u + q) // 2
-                d1 = u * u - c1
-                if w * d1 + wp * c1 == a:
-                    cand = Poly((w, c1, u, 1))
-                    _, rem = f.divmod_by(cand)
-                    if rem.is_zero():
-                        return cand
-    return None
-
-
-def irreducibility_check(field: TrinomialField, factor_budget: int = 2_000_000) -> IrreducibilityReport:
+def irreducibility_check(field: TrinomialField) -> IrreducibilityReport:
     """Decide irreducibility of x^6 + a*x + b with a certificate.
 
-    The ladder: binomial criterion for a = 0; the ramification bound (a
-    prime with 6*v_p(a) >= 5*v_p(b) >= 5 forces every factor degree to
-    be a multiple of 6/gcd(6, v_p(b)), which either proves
-    irreducibility outright or shrinks the search to one factor degree);
-    direct irreducibility modulo a small prime; intersection of
-    factor-degree patterns modulo primes not dividing D; finally
-    exhaustive searches for factors of each still-possible degree,
-    which need the divisors of b.  Only when b cannot be factored
-    within the budget does the answer degrade to "unknown".
+    The ladder: binomial criterion for a = 0; rational roots +-1; the
+    ramification bound (a prime with 6*v_p(a) >= 5*v_p(b) >= 5 forces
+    every factor degree to be a multiple of 6/gcd(6, v_p(b)), which
+    either proves irreducibility outright or narrows the possible
+    degrees); direct irreducibility modulo a prime up to 37, skipped
+    when ramification narrowed the degrees; intersection of
+    factor-degree patterns modulo primes not dividing D; finally one
+    Hensel lift of the factorization of f modulo a prime p not dividing
+    D and an exhaustive search over the products of its lifted factors
+    (Zassenhaus).  f is factored modulo each prime at most once.  Every
+    answer is proven; b is never factored.
     """
     a, b = field.a, field.b
     f = field.f
@@ -878,7 +875,6 @@ def irreducibility_check(field: TrinomialField, factor_budget: int = 2_000_000) 
             return IrreducibilityReport("reducible", "rational root", Poly((-r, 1)))
 
     possible = {1, 2, 3, 4, 5}
-    fact = None  # the factorization of b, computed at most once
     forced = 1
     forcing = []
     for p in _DIRECT_PRIMES:
@@ -890,6 +886,7 @@ def irreducibility_check(field: TrinomialField, factor_budget: int = 2_000_000) 
             e = 6 // math.gcd(6, vb)
             forcing.append(p)
             forced = forced * e // math.gcd(forced, e)
+    ramified = None
     if forced > 1:
         at = ", ".join(str(p) for p in forcing)
         possible = {dgr for dgr in possible if dgr % forced == 0}
@@ -899,76 +896,58 @@ def irreducibility_check(field: TrinomialField, factor_budget: int = 2_000_000) 
                 f"ramification at {at} forces factor degrees "
                 f"divisible by {forced}, beyond any proper splitting",
             )
-        # only factors of degree forced (<= 3) can exist; look for one
-        fact = factor(b, budget=factor_budget)
-        divisors = _divisor_list(fact) if fact.complete else None
-        if divisors is not None:
-            if forced == 3:
-                witness = _cubic_factor(f, a, b, divisors)
-            else:
-                witness = _quadratic_factor(f, a, b, divisors)
-            if witness is not None:
-                return IrreducibilityReport(
-                    "reducible",
-                    f"explicit degree-{witness.degree} factor",
-                    witness,
-                )
-            return IrreducibilityReport(
-                "irreducible",
-                f"ramification at {at} forces factor degrees divisible "
-                f"by {forced}, and no degree-{forced} factor exists",
-            )
+        ramified = (
+            f"ramification at {at} forces factor degrees divisible "
+            f"by {forced}, and no degree-{forced} factor exists"
+        )
 
-    for p in _DIRECT_PRIMES:
-        _, facs = factor_mod_p(f, p)
-        if len(facs) == 1 and facs[0][1] == 1 and facs[0][0].degree == 6:
-            return IrreducibilityReport("irreducible", f"irreducible modulo {p}")
+    mod = {}  # p -> factors of f modulo p, for primes p not dividing D
+
+    def factors_mod(p):
+        if p not in mod:
+            mod[p] = factor_mod_p(f, p)[1]
+        return mod[p]
+
+    if ramified is None:
+        # f mod p is squarefree for p not dividing D, so one factor
+        # means irreducible
+        for p in _DIRECT_PRIMES:
+            if field.D % p and len(factors_mod(p)) == 1:
+                return IrreducibilityReport("irreducible", f"irreducible modulo {p}")
 
     used = 0
     for p in _SIEVE_PRIMES:
         if field.D % p == 0:
             continue
-        _, facs = factor_mod_p(f, p)
-        degrees = [g.degree for g, e in facs for _ in range(e)]
         sums = {0}
-        for dgr in degrees:
-            sums |= {s + dgr for s in sums}
+        for g, _ in factors_mod(p):
+            sums |= {s + g.degree for s in sums}
         possible &= sums
         used += 1
         if not possible or used >= 8:
             break
     if not possible:
         return IrreducibilityReport(
-            "irreducible", "factor-degree patterns modulo small primes are incompatible"
+            "irreducible",
+            ramified or "factor-degree patterns modulo small primes are incompatible",
         )
 
     need = sorted({min(dgr, 6 - dgr) for dgr in possible})
-    if fact is None:
-        fact = factor(b, budget=factor_budget)
-        divisors = _divisor_list(fact) if fact.complete else None
-    if not fact.complete:
+    if mod:
+        p = min(mod, key=lambda q: len(mod[q]))
+    else:
+        p = next(q for q in itertools.count(101) if field.D % q and is_prime(q))
+    # Fujiwara's bound R on the roots; a monic factor of degree <= 3
+    # has coefficients of size at most 3R^3
+    R = 2 * max(floor_root(abs(a), 5) + 1, floor_root(abs(b), 6) + 1)
+    witness = _lifted_factor(f, factors_mod(p), p, need, 3 * R ** 3)
+    if witness is not None:
         return IrreducibilityReport(
-            "unknown",
-            f"factor search needs the divisors of b, but {fact.cofactor} resisted the budget",
+            "reducible", f"explicit degree-{witness.degree} factor", witness
         )
-    if divisors is None:
-        return IrreducibilityReport(
-            "unknown", "b has too many divisors for the exhaustive factor search"
-        )
-
-    for deg in need:
-        if deg == 1:
-            witness = _linear_factor(f, b, divisors)
-        elif deg == 2:
-            witness = _quadratic_factor(f, a, b, divisors)
-        else:
-            witness = _cubic_factor(f, a, b, divisors)
-        if witness is not None:
-            return IrreducibilityReport(
-                "reducible", f"explicit degree-{witness.degree} factor", witness
-            )
     degrees_txt = ", ".join(str(d) for d in need)
     return IrreducibilityReport(
         "irreducible",
-        f"no factor of degree {degrees_txt} exists (exhaustive divisor search)",
+        ramified or f"no factor of degree {degrees_txt} exists "
+        f"(exhaustive search over Hensel lifts modulo {p})",
     )

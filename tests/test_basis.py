@@ -11,13 +11,11 @@ from fracmat import mat_det
 from sexticfield.basis import (
     IntegralBasis,
     assemble,
-    canonicalize,
     combine,
-    field_discriminant,
     prime_exponent_profile,
 )
 from sexticfield.exact import InternalError, is_prime, vp
-from sexticfield.sextic import normalize, p_integral_basis
+from sexticfield.sextic import normalize, p_integral_basis, reduce_triangular_rows
 
 
 def _paper_basis(rows, denominators, index, d_K):
@@ -35,7 +33,7 @@ def test_combine_single_prime_golden():
         64,
         -(2 ** 4) * 3 ** 11,
     )
-    assert canonicalize(result.basis) == canonicalize(want)
+    assert result.basis == want
     assert result.basis.d_K == -(2 ** 4) * 3 ** 11
     assert result.basis.index == 2 ** 6
     assert result.warnings == ()
@@ -57,7 +55,9 @@ def test_combine_two_primes_golden():
         2 ** 3 * 3 ** 7,
         -(3 ** 7) * 5 ** 5,
     )
-    assert canonicalize(result.basis) == canonicalize(want)
+    assert result.basis == dataclasses.replace(
+        want, rows=reduce_triangular_rows(want.rows, want.denominators)
+    )
     assert result.basis.d_K == -(3 ** 7) * 5 ** 5
 
 
@@ -85,29 +85,30 @@ def test_combine_consistency_errors():
 
 
 def test_field_discriminant():
-    assert field_discriminant(-(2 ** 12) * 8539, 2 ** 3) == -(2 ** 6) * 8539
-    assert field_discriminant(-(2 ** 6) * 3 ** 21 * 5 ** 5, 2 ** 3 * 3 ** 7) \
-        == -(3 ** 7) * 5 ** 5
-    assert field_discriminant(-7, 1) == -7
-    with pytest.raises(ValueError):
-        field_discriminant(12, 5)
-    with pytest.raises(ValueError):
-        field_discriminant(12, 0)
+    # combine divides the index squared out of D and checks it divides
+    for a, b, d_K in ((4, 4, -(2 ** 6) * 8539), (0, 135, -(3 ** 7) * 5 ** 5)):
+        field = normalize(a, b)
+        basis = assemble(field).basis
+        assert basis.d_K == d_K
+        assert field.D == basis.index ** 2 * d_K
+    pb = p_integral_basis(2, normalize(4, 4))
+    with pytest.raises(InternalError, match="squared does not divide"):
+        combine([dataclasses.replace(pb, v_D=0)], 5)
 
 
 def test_canonicalize_idempotent_and_unimodular_invariant():
     field = normalize(0, 135)
     basis = assemble(field).basis
-    assert canonicalize(basis) == basis
+    assert reduce_triangular_rows(basis.rows, basis.denominators) == basis.rows
 
     # adding a multiple of an earlier row leaves the lattice unchanged
     rows = [list(r) for r in basis.rows]
     t3, t1 = basis.denominators[3], basis.denominators[1]
     step = t3 // t1
     rows[3][1] += 2 * step
-    messy = dataclasses.replace(basis, rows=tuple(tuple(r) for r in rows))
-    assert messy != basis
-    assert canonicalize(messy) == basis
+    messy = tuple(tuple(r) for r in rows)
+    assert messy != basis.rows
+    assert reduce_triangular_rows(messy, basis.denominators) == basis.rows
 
 
 def test_transition_determinant_is_reciprocal_index():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,20 @@ def test_pure_cross_check(capsys):
     assert any("--pure ignored" in w for w in report["warnings"])
 
 
+def test_pure_ignored_when_b_resists_the_budget(capsys):
+    """The closed form needs b factored; failing that it is a warning."""
+    b = (2 ** 61 - 1) * (2 ** 89 - 1)
+    argv = ["--a", "0", "--b", str(b), "--json", "--factor-budget", "10"]
+    code, plain, err = _capture(capsys, argv)
+    assert (code, err) == (0, "")
+    code, out, err = _capture(capsys, argv + ["--pure"])
+    assert (code, err) == (0, "")
+    report, without = json.loads(out), json.loads(plain)
+    warning = report["warnings"].pop()
+    assert warning.startswith(f"--pure ignored: cannot certify b = {b} sixth-power-free")
+    assert report == without
+
+
 def test_verify_modes(capsys):
     code, out, _ = _capture(
         capsys, ["--a", "0", "--b", "12", "--verify", "none"]
@@ -188,12 +203,16 @@ def test_verify_modes(capsys):
 
 
 def test_text_report_worked_example(capsys):
-    code, out, _ = _capture(capsys, ["--a", "0", "--b", "12"])
+    """The whole text report of (0, 12) is the README's example block."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(
+        r"```\nsexticfield --a 0 --b 12\n```\n\n```\n(.*?)```\n", readme, re.S
+    )
+    assert block is not None
+    code, out, err = _capture(capsys, ["--a", "0", "--b", "12"])
     assert code == 0
-    assert "case E20" in out
-    assert "(2 + t^3)/4" in out
-    assert "d_K = -2834352" in out
-    assert "2^4 * 3^11" in out
+    assert err == ""
+    assert out == block.group(1)
 
 
 @pytest.mark.parametrize("a, b", [(0, 12), (0, 135), (4, 4)])

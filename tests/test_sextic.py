@@ -397,21 +397,66 @@ def test_irreducibility_ladder():
         assert rep.status == "irreducible", (a, b, rep.method)
 
 
-def test_irreducibility_factors_b_at_most_once(monkeypatch):
-    # the ramification branch's factor(b) runs out of budget, so the
-    # exhaustive step must reuse it rather than factor b again
-    calls = []
-    real = sextic.factor
+def test_irreducibility_never_factors(monkeypatch):
+    # a decision with `factor` raising shows that no rung factors b
+    def refuse(n, *args, **kwargs):
+        raise AssertionError(f"factor({n}) called")
 
-    def counting(n, *args, **kwargs):
-        calls.append(n)
-        return real(n, *args, **kwargs)
+    F = normalize(13257408, 36841224028491259417702852952)
+    monkeypatch.setattr(sextic, "factor", refuse)
+    rep = irreducibility_check(F)
+    assert rep.status == "irreducible"
+    assert rep.method.startswith("ramification at 2")
 
-    monkeypatch.setattr(sextic, "factor", counting)
-    b = 36841224028491259417702852952
-    rep = irreducibility_check(normalize(13257408, b), factor_budget=1)
-    assert rep.status == "unknown"
-    assert calls == [b]
+
+_SMALL_PRIMORIAL = math.prod(p for p in range(2, 100) if sympy.isprime(p))
+
+
+def _quadratic_times_quartic(u, w):
+    """(a, b) with (x^2 + u*x + w) * (monic quartic) = x^6 + a*x + b."""
+    c2 = u * u - w
+    c1 = -u * c2 + w * u
+    c0 = -u * c1 - w * c2
+    return u * c0 + w * c1, w * c0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.integers(-400, 400), st.integers(-400, 400)),
+        st.tuples(st.integers(-40, 40), st.integers(-40, 40).filter(bool)).map(
+            lambda uw: _quadratic_times_quartic(*uw)
+        ),
+    )
+)
+@example((16, 16))
+@example((-16, 16))
+@example((6, 5 + _SMALL_PRIMORIAL))
+@example(_quadratic_times_quartic(_SMALL_PRIMORIAL, _SMALL_PRIMORIAL))
+def test_irreducibility_agrees_with_sympy(pair):
+    try:
+        F = normalize(*pair)
+    except ValueError:
+        return
+    rep = irreducibility_check(F)
+    x = sympy.Symbol("x")
+    (_, e), *rest = sympy.factor_list(x ** 6 + F.a * x + F.b)[1]
+    reducible = bool(rest) or e > 1
+    assert rep.status == ("reducible" if reducible else "irreducible"), (pair, rep)
+    if reducible:
+        assert rep.witness.is_monic() and 1 <= rep.witness.degree <= 5
+        assert F.f.divmod_by(rep.witness)[1].is_zero()
+
+
+def test_irreducibility_beyond_the_sieve_primes():
+    # D is divisible by every prime below 100, so no sieve prime is
+    # usable and the lift runs modulo the first prime >= 101 prime to D
+    F = normalize(6, 5 + _SMALL_PRIMORIAL)  # 5^5 (6s^5)^6 = 6^6 (5s^6)^5 at s = 1
+    assert F.D % _SMALL_PRIMORIAL == 0
+    assert irreducibility_check(F).method == (
+        "no factor of degree 1, 2, 3 exists "
+        "(exhaustive search over Hensel lifts modulo 101)"
+    )
 
 
 def test_irreducibility_witnesses_verify():
