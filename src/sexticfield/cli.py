@@ -14,14 +14,18 @@ Under --verify full, maximality and the Dedekind check at a prime with
 v_p(D) <= 1 follow from the index relation D = [O_K : Z[theta]]^2 * d_K,
 which puts p prime to the index of Z[theta]; Cohen's p-radical test and
 the Dedekind factorization run only at the primes with v_p(D) >= 2.
+
+--json output comes from a small writer for the report's value types
+(dicts, lists, str, None, bool) that gives json.dumps(report, indent=2)
+byte for byte without the stdlib's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .basis import assemble, combine
 from .exact import INF, InternalError, floor_root, is_prime, vp
@@ -101,6 +105,33 @@ def _render_element(coeffs, den) -> str:
             terms.append(power if c == 1 else f"{c}*{power}")
     body = " + ".join(terms) if terms else "0"
     return body if den == 1 else f"({body})/{den}"
+
+
+def _render_json(obj, indent="") -> str:
+    """json.dumps(obj, indent=2) for the report's value types.
+
+    Those are dicts with str keys, lists, str, None and bool; any other
+    type raises TypeError.  Strings go through the encoder json.dumps
+    itself uses, so the text is the same byte for byte.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = indent + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = [f"{inner}{_quote(k)}: {_render_json(v, inner)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if kind is list:
+        if not obj:
+            return "[]"
+        items = [inner + _render_json(v, inner) for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    raise TypeError(f"cannot render {kind.__name__} as report JSON")
 
 
 def _factors_list(factors):
@@ -499,8 +530,7 @@ def run(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         report, code = _execute(args)
-        out = (json.dumps(report, indent=2) + "\n" if args.json
-               else _render_text(report))
+        out = _render_json(report) + "\n" if args.json else _render_text(report)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 64

@@ -325,7 +325,10 @@ def _brent_rho(n: int, budget: int):
     """Brent's cycle-finding rho.  Returns (divisor_or_None, budget_left).
 
     The c-sweep is deterministic so repeated runs agree.  `budget`
-    counts f-evaluations across the whole sweep.
+    counts f-evaluations across the whole sweep, but it is checked only
+    between Brent rounds, and a round of length r costs 2r; so a run can
+    spend up to about twice its budget.  At budget 10^4 a run that finds
+    nothing spends 16382 evaluations (rounds r = 1 .. 4096).
     """
     if n % 2 == 0:
         return 2, budget

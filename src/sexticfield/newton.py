@@ -10,6 +10,10 @@ polynomial of every repeated factor is squarefree the bound is exact.
 Points are indexed from the leading digit: point i has height equal to
 the p-valuation of digit number (n - i), so the hull starts at (0, 0)
 and climbs to (n, v_p(digit 0)) with increasing slopes.
+
+Residual polynomials live over F_{p^r} = F_p[x]/(phi mod p), with F_p
+taken as F_p[x]/(x); `ExtField` and the gcd over it that their squarefree
+test needs sit here, on the int-list F_p[x] kernel of `poly`.
 """
 
 from __future__ import annotations
@@ -20,18 +24,73 @@ from fractions import Fraction
 
 from .exact import INF, InternalError, is_prime, vp_fraction
 from .poly import (
-    ExtField,
     Poly,
-    PrimeField,
     X,
+    convolve,
     factor_mod_p,
-    fp_deriv,
-    fp_gcd,
+    fp_inverse_mod,
+    fp_rem,
     gauss_valuation,
     phi_expansion,
     reduce_poly,
     residue_int,
 )
+
+
+class ExtField:
+    """F_{p^r} = F_p[x]/(modulus); elements are length-r int tuples."""
+
+    __slots__ = ("p", "modulus", "r", "zero", "one")
+
+    def __init__(self, p: int, modulus):
+        # modulus: ascending int coefficients of a monic irreducible over F_p
+        mod = tuple(c % p for c in modulus)
+        if not mod or mod[-1] != 1:
+            raise ValueError("modulus must be monic")
+        self.p = p
+        self.modulus = mod
+        self.r = len(mod) - 1
+        self.zero = (0,) * self.r
+        self.one = (1,) + (0,) * (self.r - 1)
+
+    def from_coeffs(self, cs):
+        """Reduce an arbitrary-length int coefficient list into the field."""
+        red = fp_rem(self.p, [c % self.p for c in cs], self.modulus)
+        return tuple(red) + (0,) * (self.r - len(red))
+
+    def sub(self, a, b):
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        return self.from_coeffs(convolve(a, b))
+
+    def inv(self, a):
+        if self.is_zero(a):
+            raise ZeroDivisionError("inverse of 0")
+        return self.from_coeffs(fp_inverse_mod(self.p, list(a), self.modulus))
+
+    def is_zero(self, a):
+        return not any(a)
+
+    @property
+    def order(self):
+        return self.p ** self.r
+
+
+def _ext_gcd(K, a, b):
+    """Monic gcd of two trimmed coefficient lists over the field K."""
+    while b:
+        a, inv, db = list(a), K.inv(b[-1]), len(b) - 1
+        for i in range(len(a) - 1 - db, -1, -1):
+            c = K.mul(a[i + db], inv)
+            for j in range(db + 1):
+                a[i + j] = K.sub(a[i + j], K.mul(c, b[j]))
+        a = a[:db]
+        while a and K.is_zero(a[-1]):
+            a.pop()
+        a, b = b, a
+    inv = K.inv(a[-1])
+    return [K.mul(inv, c) for c in a]
 
 
 @dataclass(frozen=True)
@@ -81,10 +140,8 @@ class ResidualPoly:
     modulus: tuple  # phi mod p, ascending; () means prime-field residue
     coeffs: tuple
 
-    def field(self):
-        if not self.modulus:
-            return PrimeField(self.p)
-        return ExtField(self.p, self.modulus)
+    def field(self) -> ExtField:
+        return ExtField(self.p, self.modulus or (0, 1))
 
     @property
     def degree(self) -> int:
@@ -94,11 +151,11 @@ class ResidualPoly:
         if self.degree <= 1:
             return True
         K = self.field()
-        d = fp_deriv(K, list(self.coeffs))
-        if not d:
-            return False
-        g = fp_gcd(K, list(self.coeffs), d)
-        return len(g) - 1 == 0
+        cs = [c if self.modulus else (c,) for c in self.coeffs]
+        d = [tuple(i * x % self.p for x in c) for i, c in enumerate(cs[1:], 1)]
+        while d and K.is_zero(d[-1]):
+            d.pop()
+        return bool(d) and len(_ext_gcd(K, cs, d)) == 1
 
 
 @dataclass(frozen=True)
@@ -219,12 +276,8 @@ def residual_polynomial(polygon: NewtonPolygon, edge: Edge) -> ResidualPoly:
     r = polygon.phi.degree
     e, d = edge.step
     t = edge.segments
-    if r == 1:
-        field = PrimeField(p)
-        modulus = ()
-    else:
-        modulus = reduce_poly(polygon.phi, p).coeffs
-        field = ExtField(p, modulus)
+    modulus = reduce_poly(polygon.phi, p).coeffs if r > 1 else ()
+    field = ExtField(p, modulus or (0, 1))
 
     cs = []  # by j = 0 .. t, i.e. descending in the auxiliary variable
     for j in range(t + 1):
@@ -238,16 +291,13 @@ def residual_polynomial(polygon: NewtonPolygon, edge: Edge) -> ResidualPoly:
         if v < yj:
             raise InternalError("digit valuation dips below the hull")
         scaled = [Fraction(c) / p ** yj for c in digit.coeffs]
-        if r == 1:
-            cs.append(field.from_int(residue_int(scaled[0], p)))
-        else:
-            cs.append(
-                field.from_coeffs([residue_int(c, p) for c in scaled])
-            )
+        cs.append(field.from_coeffs([residue_int(c, p) for c in scaled]))
     if field.is_zero(cs[0]) or field.is_zero(cs[-1]):
         raise InternalError("edge endpoints must give nonzero residues")
     inv = field.inv(cs[0])
     cs = [field.mul(inv, c) for c in cs]
+    if r == 1:
+        cs = [c[0] for c in cs]
     return ResidualPoly(
         edge=edge, p=p, modulus=tuple(modulus), coeffs=tuple(reversed(cs))
     )

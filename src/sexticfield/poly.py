@@ -11,9 +11,13 @@ f'(theta) from that same kernel over Z, and complete factorization
 modulo a prime by one distinct-degree / equal-degree factorizer that
 serves every p.
 
-Finite-field arithmetic is written generically against a small "field
-object" protocol (PrimeField / ExtField) so the same gcd and power-mod
-code serves both F_p and F_{p^r}.
+Arithmetic in F_p[x] is one kernel on plain int lists: every `fp_*`
+helper takes the prime p first and lists of ascending coefficients in
+[0, p), trimmed, and reduces with `%` on whole lists, so no call is made
+per coefficient.  The factorizer, the Hensel lift of `sextic` and the
+Dedekind criterion of `verify` all run on it; `fp_add`, `fp_sub`,
+`fp_mul` and division by a monic polynomial only reduce, so they serve
+any modulus.
 """
 
 from __future__ import annotations
@@ -97,14 +101,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Poly(tuple(c * other for c in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return Poly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(tuple(out))
+        return Poly(convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -195,214 +192,111 @@ def gauss_valuation(F: Poly, p: int):
 
 
 # ---------------------------------------------------------------------------
-# finite fields
+# polynomials over F_p: plain int lists, ascending, trimmed, entries in [0, p)
 
 
-class PrimeField:
-    """F_p with elements represented as ints in [0, p)."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        self.p = p
-
-    zero = 0
-    one = 1
-
-    def from_int(self, n: int) -> int:
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, -1, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    @property
-    def order(self):
-        return self.p
+def convolve(a, b):
+    """Product of two integer coefficient sequences, untrimmed."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
-class ExtField:
-    """F_{p^r} = F_p[x]/(modulus); elements are length-r int tuples."""
-
-    __slots__ = ("p", "modulus", "r", "zero", "one")
-
-    def __init__(self, p: int, modulus):
-        # modulus: ascending int coefficients of a monic irreducible over F_p
-        mod = tuple(c % p for c in modulus)
-        if not mod or mod[-1] != 1:
-            raise ValueError("modulus must be monic")
-        self.p = p
-        self.modulus = mod
-        self.r = len(mod) - 1
-        self.zero = (0,) * self.r
-        self.one = (1,) + (0,) * (self.r - 1)
-
-    def from_int(self, n: int):
-        return (n % self.p,) + (0,) * (self.r - 1)
-
-    def from_coeffs(self, cs):
-        """Reduce an arbitrary-length int coefficient list into the field."""
-        K = PrimeField(self.p)
-        red = fp_rem(K, [c % self.p for c in cs], list(self.modulus))
-        red = red + [0] * (self.r - len(red))
-        return tuple(red)
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x % self.p for x in a)
-
-    def mul(self, a, b):
-        out = [0] * (2 * self.r - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        K = PrimeField(self.p)
-        red = fp_rem(K, [c % self.p for c in out], list(self.modulus))
-        red = red + [0] * (self.r - len(red))
-        return tuple(red)
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of 0")
-        res = fp_inverse_mod(PrimeField(self.p), [x % self.p for x in a],
-                             list(self.modulus))
-        return tuple(res + [0] * (self.r - len(res)))
-
-    def is_zero(self, a):
-        return all(x % self.p == 0 for x in a)
-
-    @property
-    def order(self):
-        return self.p ** self.r
-
-
-# polynomials over a field object: plain lists, ascending, trimmed
-
-
-def fp_deg(cs):
-    return len(cs) - 1
-
-
-def fp_sub(K, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else K.zero
-        y = b[i] if i < len(b) else K.zero
-        out.append(K.sub(x, y))
-    return _fp_strip(K, out)
-
-
-def _fp_strip(K, cs):
-    while cs and K.is_zero(cs[-1]):
+def _fp_strip(cs):
+    while cs and not cs[-1]:
         cs.pop()
     return cs
 
 
-def fp_mul(K, a, b):
-    if not a or not b:
-        return []
-    out = [K.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not K.is_zero(x):
-            for j, y in enumerate(b):
-                out[i + j] = K.add(out[i + j], K.mul(x, y))
-    return _fp_strip(K, out)
+def fp_add(p, a, b):
+    return _fp_strip([(x + y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
-def fp_divmod(K, a, b):
+def fp_sub(p, a, b):
+    return _fp_strip([(x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def fp_mul(p, a, b):
+    """a*b mod p; only reduces, so it serves any modulus."""
+    return _fp_strip([c % p for c in convolve(a, b)])
+
+
+def fp_divmod(p, a, b):
+    """(q, r) with a = q*b + r mod p, deg r < deg b.
+
+    The leading coefficient of b must be a unit mod p; for monic b the
+    division is exact over Z/p for any modulus p.  Entries of a may lie
+    outside [0, p); only the nonzero low coefficients of b are visited.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], _fp_strip([x % p for x in a])
     a = list(a)
-    db, lead = fp_deg(b), b[-1]
-    if fp_deg(a) < db:
-        return [], _fp_strip(K, a)
-    inv_lead = K.inv(lead)
-    q = [K.zero] * (fp_deg(a) - db + 1)
-    for i in range(fp_deg(a) - db, -1, -1):
-        top = a[i + db]
-        if K.is_zero(top):
-            continue
-        c = K.mul(top, inv_lead)
-        q[i] = c
-        for j in range(db + 1):
-            a[i + j] = K.sub(a[i + j], K.mul(c, b[j]))
-    return _fp_strip(K, q), _fp_strip(K, a[:db])
+    inv_lead = 1 if b[-1] == 1 else pow(b[-1], -1, p)
+    low = [(j, y) for j, y in enumerate(b[:db]) if y]
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1 - db, -1, -1):
+        c = a[i + db] * inv_lead % p
+        if c:
+            q[i] = c
+            for j, y in low:
+                a[i + j] -= c * y
+    return _fp_strip(q), _fp_strip([x % p for x in a[:db]])
 
 
-def fp_rem(K, a, b):
-    return fp_divmod(K, a, b)[1]
+def fp_rem(p, a, b):
+    return fp_divmod(p, a, b)[1]
 
 
-def fp_monic(K, a):
+def fp_monic(p, a):
     if not a:
         return []
-    c = K.inv(a[-1])
-    return [K.mul(c, x) for x in a]
+    c = pow(a[-1], -1, p)
+    return [c * x % p for x in a]
 
 
-def fp_gcd(K, a, b):
+def fp_gcd(p, a, b):
     a, b = list(a), list(b)
     while b:
-        a, b = b, fp_rem(K, a, b)
-    return fp_monic(K, a)
+        a, b = b, fp_rem(p, a, b)
+    return fp_monic(p, a)
 
 
-def fp_inverse_mod(K, a, m):
+def fp_inverse_mod(p, a, m):
     """s with s*a = 1 (mod m) and deg s < deg m, for a prime to m.
 
-    Extended Euclid in K[x] between m and a, tracking s with
+    Extended Euclid in F_p[x] between m and a, tracking s with
     s*a = r (mod m) for the current remainder r.  Raises
     ZeroDivisionError when gcd(a, m) is not a unit.
     """
-    r0, r1 = list(m), _fp_strip(K, list(a))
-    s0, s1 = [], [K.one]
-    while fp_deg(r1) > 0:
-        q, r = fp_divmod(K, r0, r1)
+    r0, r1 = list(m), _fp_strip(list(a))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        q, r = fp_divmod(p, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, fp_sub(K, s0, fp_mul(K, q, s1))
+        s0, s1 = s1, fp_sub(p, s0, fp_mul(p, q, s1))
     if not r1:
         raise ZeroDivisionError("not invertible: a and m share a factor")
-    c = K.inv(r1[0])
-    return fp_rem(K, [K.mul(c, x) for x in s1], list(m))
+    c = pow(r1[0], -1, p)
+    return fp_rem(p, [c * x for x in s1], m)
 
 
-def fp_deriv(K, a):
-    return _fp_strip(
-        K, [K.mul(K.from_int(i), c) for i, c in enumerate(a[1:], start=1)]
-    )
-
-
-def fp_pow_mod(K, base, e: int, mod):
-    result = [K.one]
-    base = fp_rem(K, list(base), mod)
+def fp_pow_mod(p, base, e: int, mod):
+    result = [1]
+    base = fp_rem(p, base, mod)
     while e:
         if e & 1:
-            result = fp_rem(K, fp_mul(K, result, base), mod)
-        base = fp_rem(K, fp_mul(K, base, base), mod)
+            result = fp_rem(p, convolve(result, base), mod)
         e >>= 1
+        if e:
+            base = fp_rem(p, convolve(base, base), mod)
     return result
 
 
@@ -453,7 +347,7 @@ def reduce_poly(F: Poly, p: int) -> ModPoly:
 # factorization over F_p
 
 
-def _ddf(K, f):
+def _ddf(p, f):
     """Factorization [(irreducible, multiplicity)] of a monic f over F_p.
 
     At step d every factor of degree < d has been divided out of f with
@@ -464,28 +358,27 @@ def _ddf(K, f):
     remains cannot hold two factors of degree >= d, so it is
     irreducible with multiplicity 1.
     """
-    p = K.p
     out = []
     w = [0, 1]  # x^(p^d) mod f
     d = 0
-    while fp_deg(f) >= 1:
+    while len(f) > 1:
         d += 1
-        if 2 * d > fp_deg(f):
+        if 2 * d >= len(f):
             out.append((f, 1))
             break
-        w = fp_pow_mod(K, w, p, f)
-        g = fp_gcd(K, fp_sub(K, w, [0, 1]), f)
-        if fp_deg(g) == 0:
+        w = fp_pow_mod(p, w, p, f)
+        g = fp_gcd(p, fp_sub(p, w, [0, 1]), f)
+        if len(g) == 1:
             continue
-        for irr in _edf(K, g, d):
+        for irr in _edf(p, g, d):
             e = 0
             while True:
-                q, r = fp_divmod(K, f, irr)
+                q, r = fp_divmod(p, f, irr)
                 if r:
                     break
                 f, e = q, e + 1
             out.append((irr, e))
-        w = fp_rem(K, w, f)
+        w = fp_rem(p, w, f)
     return out
 
 
@@ -498,7 +391,7 @@ def _candidate_split_polys(p: int):
             yield list(tail) + [1]
 
 
-def _edf(K, f, d):
+def _edf(p, f, d):
     """Split a product of distinct degree-d irreducibles over F_p.
 
     Cantor-Zassenhaus with a deterministic candidate supply: u splits f
@@ -507,20 +400,19 @@ def _edf(K, f, d):
     every monic polynomial, the factors of f among them, so the split
     terminates for every p.
     """
-    if fp_deg(f) < 2 * d:  # fewer than two degree-d factors: irreducible
+    if len(f) <= 2 * d:  # fewer than two degree-d factors: irreducible
         return [f]
-    p = K.p
     e = (p ** d - 1) // 2
     for u in _candidate_split_polys(p):
-        g = fp_gcd(K, u, f)
-        if 0 < fp_deg(g) < fp_deg(f):
-            rest, _ = fp_divmod(K, f, g)
-            return _edf(K, g, d) + _edf(K, rest, d)
-        s = fp_pow_mod(K, u, e, f)
-        g = fp_gcd(K, fp_sub(K, s, [1]), f)
-        if 0 < fp_deg(g) < fp_deg(f):
-            rest, _ = fp_divmod(K, f, g)
-            return _edf(K, g, d) + _edf(K, rest, d)
+        g = fp_gcd(p, u, f)
+        if 1 < len(g) < len(f):
+            rest, _ = fp_divmod(p, f, g)
+            return _edf(p, g, d) + _edf(p, rest, d)
+        s = fp_pow_mod(p, u, e, f)
+        g = fp_gcd(p, fp_sub(p, s, [1]), f)
+        if 1 < len(g) < len(f):
+            rest, _ = fp_divmod(p, f, g)
+            return _edf(p, g, d) + _edf(p, rest, d)
     raise InternalError("equal-degree splitting ran out of candidates")
 
 
@@ -534,9 +426,8 @@ def factor_mod_p(F: Poly, p: int):
     fb = reduce_poly(F, p)
     if not fb.coeffs:
         raise ValueError("cannot factor the zero polynomial")
-    K = PrimeField(p)
     unit = fb.coeffs[-1]
-    found = _ddf(K, fp_monic(K, list(fb.coeffs)))
+    found = _ddf(p, fp_monic(p, list(fb.coeffs)))
     factors = tuple(
         sorted(
             ((ModPoly(p, tuple(g)), e) for g, e in found),
@@ -547,10 +438,9 @@ def factor_mod_p(F: Poly, p: int):
 
 
 def poly_gcd_mod_p(A: Poly, B: Poly, p: int) -> ModPoly:
-    K = PrimeField(p)
-    a = list(reduce_poly(A, p).coeffs)
-    b = list(reduce_poly(B, p).coeffs)
-    return ModPoly(p, tuple(fp_gcd(K, a, b)))
+    a = reduce_poly(A, p).coeffs
+    b = reduce_poly(B, p).coeffs
+    return ModPoly(p, tuple(fp_gcd(p, a, b)))
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,8 @@ from .exact import (
 )
 from .poly import (
     Poly,
-    PrimeField,
     factor_mod_p,
+    fp_add,
     fp_divmod,
     fp_inverse_mod,
     fp_mul,
@@ -777,39 +777,40 @@ _SIEVE_PRIMES = tuple(p for p in range(2, 101) if is_prime(p))
 _DIRECT_PRIMES = tuple(p for p in _SIEVE_PRIMES if p <= 37)
 
 
-def _reduce(P, m):
-    return Poly(tuple(c % m for c in P.coeffs))
-
-
 def _hensel_step(f, g, h, s, t, m):
     """Lift f = g*h, s*g + t*h = 1 from modulus m to m^2; h monic.
 
-    von zur Gathen and Gerhard, Modern Computer Algebra, Algorithm 15.10.
+    von zur Gathen and Gerhard, Modern Computer Algebra, Algorithm 15.10,
+    on int lists reduced mod m^2.
     """
     m *= m
-    e = _reduce(f - g * h, m)
-    q, r = _reduce(s * e, m).divmod_by(h)
-    g, h = _reduce(g + t * e + q * g, m), _reduce(h + r, m)
-    c = _reduce(s * g + t * h - 1, m)
-    q, r = _reduce(s * c, m).divmod_by(h)
-    return g, h, _reduce(s - r, m), _reduce(t - t * c - q * g, m)
+    e = fp_sub(m, f, fp_mul(m, g, h))
+    q, r = fp_divmod(m, fp_mul(m, s, e), h)
+    g = fp_add(m, fp_mul(m, g, fp_add(m, q, [1])), fp_mul(m, t, e))
+    h = fp_add(m, h, r)
+    c = fp_sub(m, fp_add(m, fp_mul(m, s, g), fp_mul(m, t, h)), [1])
+    q, r = fp_divmod(m, fp_mul(m, s, c), h)
+    t = fp_sub(m, t, fp_add(m, fp_mul(m, t, c), fp_mul(m, q, g)))
+    return g, h, fp_sub(m, s, r), t
 
 
 def _hensel_lift(f, factors, p, M):
     """Monic lifts modulo M = p^(2^j) of the factors of a squarefree f mod p.
 
     Each factor in turn is split off the product of the ones after it,
-    and the pair is lifted quadratically from p to M.
+    and the pair is lifted quadratically from p to M.  Polynomials are
+    int lists.
     """
-    K = PrimeField(p)
     lifts = []
+    f = list(f.coeffs)
     for i, g in enumerate(factors[:-1]):
+        g = list(g.coeffs)
         h = [1]
         for other in factors[i + 1:]:
-            h = fp_mul(K, h, list(other.coeffs))
-        s = fp_inverse_mod(K, list(g.coeffs), h)
-        t, _ = fp_divmod(K, fp_sub(K, [1], fp_mul(K, s, list(g.coeffs))), h)
-        g, h, s, t, m = g.lift(), Poly(h), Poly(s), Poly(t), p
+            h = fp_mul(p, h, other.coeffs)
+        s = fp_inverse_mod(p, g, h)
+        t, _ = fp_divmod(p, fp_sub(p, [1], fp_mul(p, s, g)), h)
+        m = p
         while m < M:
             g, h, s, t = _hensel_step(f, g, h, s, t, m)
             m *= m
@@ -833,12 +834,12 @@ def _lifted_factor(f, factors, p, need, bound):
     for deg in need:
         for size in range(1, deg + 1):
             for combo in itertools.combinations(lifts, size):
-                if sum(g.degree for g in combo) != deg:
+                if sum(len(g) - 1 for g in combo) != deg:
                     continue
-                cand = Poly((1,))
+                cand = [1]
                 for g in combo:
-                    cand = _reduce(cand * g, M)
-                cand = Poly(tuple(c - M if 2 * c > M else c for c in cand.coeffs))
+                    cand = fp_mul(M, cand, g)
+                cand = Poly(tuple(c - M if 2 * c > M else c for c in cand))
                 if f.divmod_by(cand)[1].is_zero():
                     return cand
     return None

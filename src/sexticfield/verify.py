@@ -13,9 +13,13 @@ primes with v_p(D) >= 2: at the others the index relation
 D = [O_K : Z[theta]]^2 * d_K already proves p-maximality.  Both stay
 complete for every p, so the tests can check that they agree there.
 
-All of it is integer arithmetic: lattice coordinates come from one
-triangular back-substitution with exact division, and the maximality
-test is a rank computation over F_p.
+All of it is arithmetic on plain int lists.  The ring table is the
+integer convolution of two rows reduced by the monic f, with coordinates
+from one triangular back-substitution with exact division; Cohen's image
+sums rows of that table and back-substitutes inline against the integer
+HNF basis of the radical, and the maximality test is a rank computation
+over F_p.  The Dedekind criterion works mod p^2 on the F_p[x] kernel of
+`poly`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import dataclasses
 import math
 
 from .exact import InternalError, hnf
-from .poly import Poly, factor_mod_p, poly_gcd_mod_p
+from .poly import Poly, convolve, factor_mod_p, fp_gcd, fp_mul, fp_sub
 
 __all__ = [
     "OrderPresentation",
@@ -86,21 +90,29 @@ class OrderPresentation:
         n = f.degree
         if n != 6 or len(rows) != 6 or len(denominators) != 6:
             raise ValueError("expected a sextic with six triangular rows")
+        if not (f.is_monic() and f.is_integer()):
+            raise ValueError("integer monic f expected")
         if denominators[0] != 1:
             raise ValueError("the first basis element must be 1")
         # each row is monic over an integer denominator, so the lattice
         # contains 1, theta, ..., theta^5 by construction
         full = [tuple(rows[i]) + (1,) for i in range(6)]
-        polys = [Poly(r) for r in full]
+        # theta^6 = -(f_0 + f_1 theta + ... + f_5 theta^5): the nonzero f_k
+        tail = [(k, c) for k, c in enumerate(f.coeffs[:6]) if c]
         # the order is commutative: e_j * e_i is e_i * e_j, so the 21
         # products with i <= j fill the whole table
         table = [[None] * 6 for _ in range(6)]
         for i in range(6):
             for j in range(i, 6):
-                prod = (polys[i] * polys[j]).divmod_by(f)[1]
+                prod = convolve(full[i], full[j])
+                for top in range(i + j, 5, -1):
+                    c = prod.pop()
+                    if c:
+                        for k, fk in tail:
+                            prod[top - 6 + k] -= c * fk
+                prod += [0] * (6 - len(prod))
                 coords = _solve_triangular(
-                    full, denominators, [prod[k] for k in range(6)],
-                    denominators[i] * denominators[j],
+                    full, denominators, prod, denominators[i] * denominators[j]
                 )
                 if coords is None:
                     raise ValueError(
@@ -116,14 +128,13 @@ class OrderPresentation:
         """Product of two elements given by integer coordinate vectors."""
         out = [0] * 6
         for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                w = self.mult_table[i][j]
-                for k in range(6):
-                    out[k] += ui * vj * w[k]
+            if ui:
+                line = self.mult_table[i]
+                for j, vj in enumerate(v):
+                    if vj:
+                        c = ui * vj
+                        for k, w in enumerate(line[j]):
+                            out[k] += c * w
         return tuple(out)
 
 
@@ -160,52 +171,43 @@ def dedekind_maximal_at_p(f: Poly, p: int) -> bool:
     order is p-maximal iff gcd(T, g, h) = 1 mod p.
     """
     _, factors = factor_mod_p(f, p)
-    g = Poly((1,))
-    h = Poly((1,))
+    # T mod p needs g*h - f only mod p^2
+    q = p * p
+    g, h = [1], [1]
     for gbar, e in factors:
-        lift = gbar.lift()
-        g = g * lift
+        g = fp_mul(q, g, gbar.coeffs)
         for _ in range(e - 1):
-            h = h * lift
-    diff = g * h - f
-    T = []
-    for c in diff.coeffs:
-        if c % p:
-            raise InternalError("lifted factorization does not match mod p")
-        T.append(c // p)
-    d = poly_gcd_mod_p(g, h, p)
-    d = poly_gcd_mod_p(d.lift(), Poly(T), p)
-    return d.degree == 0
+            h = fp_mul(q, h, gbar.coeffs)
+    diff = fp_sub(q, fp_mul(q, g, h), f.coeffs)
+    if any(c % p for c in diff):
+        raise InternalError("lifted factorization does not match mod p")
+    T = [c // p for c in diff]
+    d = fp_gcd(p, [c % p for c in g], [c % p for c in h])
+    return len(fp_gcd(p, d, T)) == 1
 
 
-def _kernel_mod_p(rows, p):
-    """Basis of {x : A x = 0} over F_p, A given by rows."""
-    m = len(rows)
-    n = len(rows[0])
-    work = [[x % p for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = pow(work[r][c], -1, p)
-        work[r] = [(x * inv) % p for x in work[r]]
-        for i in range(m):
-            if i != r and work[i][c]:
-                factor = work[i][c]
-                work[i] = [(a - factor * b) % p for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
+def _left_kernel_mod_p(rows, p):
+    """Basis of {x : sum_j x_j * rows[j] = 0} over F_p.
+
+    Each row, with a unit vector appended that records how it was
+    combined, is reduced against the pivot rows before it; a row that
+    vanishes leaves a kernel vector in the appended part.
+    """
+    width = len(rows[0])
+    pivots = []  # (pivot column, row scaled to 1 there)
     basis = []
-    for c in free:
-        vec = [0] * n
-        vec[c] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-work[i][c]) % p
-        basis.append(tuple(vec))
+    for j, row in enumerate(rows):
+        row = [x % p for x in row] + [int(i == j) for i in range(len(rows))]
+        for c, b in pivots:
+            if row[c]:
+                t = row[c]
+                row = [(x - t * y) % p for x, y in zip(row, b)]
+        c = next((c for c in range(width) if row[c]), None)
+        if c is None:
+            basis.append(tuple(row[width:]))
+        else:
+            t = pow(row[c], -1, p)
+            pivots.append((c, [x * t % p for x in row]))
     return basis
 
 
@@ -213,21 +215,27 @@ def _frobenius_power_rows(order: OrderPresentation, p: int, r: int):
     """Matrix of x -> x^(p^r) on O/pO; row j is the image of basis j."""
     rows = []
     for j in range(6):
-        vec = tuple(1 if i == j else 0 for i in range(6))
-        acc = tuple(1 if i == 0 else 0 for i in range(6))
-        base, e = vec, p
+        acc = [int(i == 0) for i in range(6)]  # e_0 = 1
+        base, e = [int(i == j) for i in range(6)], p
         while e:
             if e & 1:
-                acc = tuple(x % p for x in order.multiply(acc, base))
-            base = tuple(x % p for x in order.multiply(base, base))
+                acc = [x % p for x in order.multiply(acc, base)]
             e >>= 1
-        rows.append(list(acc))
+            if e:
+                base = [x % p for x in order.multiply(base, base)]
+        rows.append(acc)
     mat = rows
     for _ in range(r - 1):
-        mat = [
-            [sum(mat[j][i] * rows[i][k] for i in range(6)) % p for k in range(6)]
-            for j in range(6)
-        ]
+        # x -> x^p is F_p-linear: apply it to each row of the power so far
+        nxt = []
+        for line in mat:
+            out = [0] * 6
+            for i, x in enumerate(line):
+                if x:
+                    for k, y in enumerate(rows[i]):
+                        out[k] += x * y
+            nxt.append([x % p for x in out])
+        mat = nxt
     return mat
 
 
@@ -243,29 +251,55 @@ def maximality_test(order: OrderPresentation, p: int) -> bool:
     of I by triangular back-substitution; the resulting 6 x 36 matrix
     over F_p must have a trivial left kernel.
     """
+    BI = _radical_basis(order, p)
+    return not _left_kernel_mod_p(_radical_image(order, BI), p)
+
+
+def _radical_basis(order: OrderPresentation, p: int):
+    """HNF basis of the p-radical: pO plus the nilpotents of O/pO."""
     r = 1
     while p ** r < 6:
         r += 1
-    frob = _frobenius_power_rows(order, p, r)
-    # left kernel: x with x * frob = 0, i.e. ordinary kernel of the transpose
-    transpose = [[frob[j][i] for j in range(6)] for i in range(6)]
-    nilpotents = _kernel_mod_p(transpose, p)
+    nilpotents = _left_kernel_mod_p(_frobenius_power_rows(order, p, r), p)
 
     gens = [[p if i == j else 0 for j in range(6)] for i in range(6)]
     gens.extend(list(v) for v in nilpotents)
     BI, den = hnf(gens)
     if den != 1:
         raise InternalError("radical lattice has a denominator")
+    return BI
 
-    ones = (1,) * 6
-    # column (k, l) of the image matrix: coordinate l of e_j * g_k, j = 0..5
-    columns = [[] for _ in range(36)]
-    for j in range(6):
-        e_j = tuple(int(i == j) for i in range(6))
-        for k, g in enumerate(BI):
-            coords = _solve_triangular(BI, ones, order.multiply(e_j, g), 1)
-            if coords is None:
-                raise InternalError("radical is not an ideal of the order")
-            for l in range(6):
-                columns[6 * k + l].append(coords[l])
-    return not _kernel_mod_p(columns, p)
+
+def _radical_image(order: OrderPresentation, BI):
+    """The 6 x 36 matrix whose entry (j, 6k + l) is coordinate l of
+    e_j * g_k in the basis BI of the radical.
+
+    e_j * g_k = sum_m g_k[m] * (e_j * e_m) is read off the multiplication
+    table and written in the lower-triangular integer basis BI by
+    back-substitution with exact division.
+    """
+    terms = [[(m, gm) for m, gm in enumerate(g) if gm] for g in BI]
+    # BI from the top row down: its diagonal entry and the nonzero ones
+    # left of it
+    steps = [(l, BI[l][l], [(i, x) for i, x in enumerate(BI[l][:l]) if x])
+             for l in range(5, -1, -1)]
+    image = []
+    for line in order.mult_table:  # line[m] = e_j * e_m
+        out = []
+        for tk in terms:
+            w = [0] * 6
+            for m, gm in tk:
+                for l, x in enumerate(line[m]):
+                    w[l] += gm * x
+            coords = [0] * 6
+            for l, d, left in steps:
+                q, r = divmod(w[l], d)
+                if r:
+                    raise InternalError("radical is not an ideal of the order")
+                coords[l] = q
+                if q:
+                    for i, x in left:
+                        w[i] -= q * x
+            out += coords
+        image.append(out)
+    return image

@@ -5,6 +5,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sexticfield import cli
 from sexticfield.basis import IntegralBasis, assemble
@@ -242,6 +244,41 @@ def _case_entries():
 def test_case_entries_match_golden():
     """Per-case label, valuations, k, params, rows and polygons are pinned."""
     assert _case_entries() == (GOLDEN / "case_entries.json").read_text()
+
+
+# every code point, lone surrogates and control characters included
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+_REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORT_VALUES)
+@example({})
+@example([])
+@example({"": [[], {}, [[]], {"a": {}}]})
+@example(["\x00\x1f\x7f\n\t\"\\", "\u00e9\u2713\U0001f600", "\ud800", "\udfff\ud834"])
+@example({"\ud83d": None, "\x01": True, "k": False})
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._render_json(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    0, 1.5, (), ("a",), b"a", {"a"}, {1: "a"}, {None: "a"}, ["a", 3],
+    {"k": ["v", {"n": 2}]}, {"k": ("t",)},
+])
+def test_json_writer_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        cli._render_json(obj)
+
+
+def test_json_writer_renders_the_case_entries():
+    entries = json.loads((GOLDEN / "case_entries.json").read_text())
+    assert cli._render_json(entries) + "\n" == _case_entries()
 
 
 def test_unexpected_exception_exits_1_without_traceback(capsys, monkeypatch):

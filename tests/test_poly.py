@@ -8,17 +8,20 @@ from hypothesis import strategies as st
 
 from fracmat import char_poly_of_element, mat_det
 
+from sexticfield.newton import ExtField
 from sexticfield.poly import (
-    ExtField,
     Poly,
-    PrimeField,
     X,
     discriminant,
     factor_mod_p,
+    fp_add,
     fp_divmod,
     fp_gcd,
+    fp_inverse_mod,
+    fp_monic,
     fp_mul,
     fp_pow_mod,
+    fp_sub,
     gauss_valuation,
     is_integral,
     phi_expansion,
@@ -134,12 +137,16 @@ def test_reduce_poly_and_residues():
 
 
 def test_prime_field():
-    K = PrimeField(7)
-    assert K.mul(3, 5) == 1
-    assert K.inv(3) == 5
-    assert K.sub(2, 5) == 4
+    # constants of F_7[x]: products, inverses and differences mod 7
+    assert fp_mul(7, [3], [5]) == [1]
+    assert fp_inverse_mod(7, [3], [0, 1]) == [5]
+    assert fp_monic(7, [3]) == [1]
+    assert fp_sub(7, [2], [5]) == [4]
+    assert fp_add(7, [2, 3], [5, 4]) == []
     with pytest.raises(ZeroDivisionError):
-        K.inv(0)
+        fp_inverse_mod(7, [0, 1], [0, 0, 1])
+    with pytest.raises(ZeroDivisionError):
+        fp_divmod(7, [1], [])
 
 
 def test_ext_field():
@@ -162,17 +169,21 @@ def test_ext_field():
 
 
 def test_fp_gcd_and_powmod():
-    K = PrimeField(5)
     a = [1, 0, 1]  # x^2 + 1 = (x+2)(x+3) mod 5
     b = [2, 1]  # x + 2
-    g = fp_gcd(K, a, b)
+    g = fp_gcd(5, a, b)
     assert g == [2, 1]
-    q, r = fp_divmod(K, a, b)
+    q, r = fp_divmod(5, a, b)
     assert not r
-    assert fp_mul(K, q, b) == a
+    assert fp_mul(5, q, b) == a
     # Fermat: x^5 = x mod (x^2 + 2) over F_5 iff the element lies in F_5
     mod = [2, 0, 1]
-    assert fp_pow_mod(K, [0, 1], 25, mod) == [0, 1]
+    assert fp_pow_mod(5, [0, 1], 25, mod) == [0, 1]
+    # a non-monic divisor: 3x^2 + 1 = (4x + 3)(2x + 1) + 3 over F_5
+    assert fp_divmod(5, [1, 0, 3], [1, 2]) == ([3, 4], [3])
+    # monic division and products only reduce, so they serve Z/25 too
+    q, r = fp_divmod(25, [24, 0, 1], [1, 1])
+    assert fp_add(25, fp_mul(25, q, [1, 1]), r) == [24, 0, 1]
 
 
 def sympy_factors_mod_p(F: Poly, p: int):

@@ -3,14 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+import polyref
 from casegen import all_labels, instance
 from fracmat import char_poly_of_element, mat_inv
 from sexticfield.basis import assemble
-from sexticfield.exact import factor
+from sexticfield.exact import InternalError, factor, hnf
 from sexticfield.poly import Poly, is_integral, trinomial
 from sexticfield.sextic import normalize, p_integral_basis
 from sexticfield.verify import (
     OrderPresentation,
+    _left_kernel_mod_p,
+    _radical_basis,
+    _radical_image,
     _solve_triangular,
     dedekind_maximal_at_p,
     lattice_index,
@@ -41,6 +45,13 @@ def test_order_presentation_rejects_non_ring():
     rows = ((), (0,), (0, 0), (0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         OrderPresentation.from_triangular(rows, (1, 1, 1, 1, 1, 2), f)
+
+
+def test_order_presentation_rejects_non_monic_or_rational_f():
+    for f in (Poly((4, 4, 0, 0, 0, 0, 2)),
+              Poly((Fraction(1, 2), 4, 0, 0, 0, 0, 1))):
+        with pytest.raises(ValueError):
+            OrderPresentation.from_triangular(POWER_ROWS, (1,) * 6, f)
 
 
 def test_pipeline_bases_are_rings():
@@ -278,3 +289,65 @@ def test_symmetric_table_matches_all_36_products():
                 bad = dens[:i] + (dens[i] * p,) + dens[i + 1:]
                 with pytest.raises(ValueError):
                     OrderPresentation.from_triangular(pb.rows, bad, field.f)
+
+
+def test_integer_kernels_match_the_poly_references():
+    """On two instances of every case, for the case's order and for
+    Z[theta]: the convolution table equals the Poly-based one, the
+    radical basis and the inline image equal those built through
+    `multiply` and `_solve_triangular`, and Cohen's test agrees."""
+    rng = random.Random(87)
+    for label in all_labels():
+        for _ in range(2):
+            p, field = instance(label, rng)
+            pb = p_integral_basis(p, field)
+            for rows, dens in ((pb.rows, tuple(p ** k for k in pb.k)),
+                               (POWER_ROWS, (1,) * 6)):
+                order = OrderPresentation.from_triangular(rows, dens, field.f)
+                table = polyref.table_by_polys(rows, dens, field.f)
+                where = (label, field.a, field.b, dens)
+                assert order.mult_table == table, where
+                BI = _radical_basis(order, p)
+                assert BI == polyref.radical_basis(table, p), where
+                assert _radical_image(order, BI) == \
+                    polyref.radical_image(table, BI), where
+                assert maximality_test(order, p) == \
+                    polyref.is_p_maximal(table, p), where
+
+
+def test_radical_image_refuses_a_lattice_that_is_no_ideal():
+    # pO + Z*theta: theta * theta = theta^2 lies outside it
+    order = OrderPresentation.from_triangular(
+        POWER_ROWS, (1,) * 6, trinomial(0, 12)
+    )
+    gens = [[2 * int(i == j) for j in range(6)] for i in range(6)]
+    BI, _ = hnf(gens + [[0, 1, 0, 0, 0, 0]])
+    with pytest.raises(InternalError):
+        _radical_image(order, BI)
+    with pytest.raises(InternalError):
+        polyref.radical_image(order.mult_table, BI)
+
+
+def test_left_kernel_against_gauss_jordan():
+    """The left kernel spans the same subspace as the Gauss-Jordan kernel
+    of the transpose: equal dimension, and equal lattices p*Z^n + span."""
+    rng = random.Random(1729)
+    for _ in range(200):
+        p = rng.choice((2, 3, 5, 7))
+        width = rng.choice((6, 36))
+        rank = rng.randint(0, 6)
+        base = [[rng.randrange(p) for _ in range(width)] for _ in range(rank)]
+        rows = [
+            [sum(rng.randrange(p) * b[c] for b in base) + p * rng.randint(-2, 2)
+             for c in range(width)]
+            for _ in range(6)
+        ]
+        got = _left_kernel_mod_p(rows, p)
+        for x in got:
+            assert all(sum(x[j] * rows[j][c] for j in range(6)) % p == 0
+                       for c in range(width))
+        want = polyref.kernel_mod_p([list(col) for col in zip(*rows)], p)
+        assert len(got) == len(want)
+        lattice = [[p * int(i == j) for j in range(6)] for i in range(6)]
+        assert hnf(lattice + [list(x) for x in got]) == \
+            hnf(lattice + [list(x) for x in want])
