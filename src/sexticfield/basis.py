@@ -136,9 +136,7 @@ def prime_exponent_profile(basis: IntegralBasis, p: int) -> tuple:
         vecs.append(vec)
     for j in range(6):
         vecs.append([0] * j + [T] + [0] * (5 - j))
-    H, den = hnf(vecs)
-    if den != 1:
-        raise InternalError("integer lattice came back with a denominator")
+    H = hnf(vecs)
     profile = []
     for i in range(6):
         d = H[i][i]

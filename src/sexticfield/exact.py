@@ -2,7 +2,7 @@
 
 Everything here is deterministic and allocation-light: valuations,
 modular arithmetic, integer roots, a budgeted integer factorizer and
-Hermite normal form for rational row lattices.  The factorizer's trial
+Hermite normal form for integer row lattices.  The factorizer's trial
 stage divides by gcds, not by single primes (Bernstein, "How to find
 small factors of integers"): the primes up to 10^6 fall into blocks of
 fixed width, the product of each block's primes is built on first use
@@ -434,37 +434,27 @@ def factor(n: int, budget: int = 2_000_000) -> PrimeFactorization:
 
 
 # ---------------------------------------------------------------------------
-# Hermite normal form for rational row lattices
+# Hermite normal form for integer row lattices
 
 
 def hnf(rows):
-    """Hermite normal form of the lattice spanned by rational rows.
+    """Hermite normal form of the lattice spanned by integer rows.
 
-    `rows` is a sequence of equal-length sequences of ints/Fractions
-    with at least as many rows as columns and full column rank.  Returns
-    (H, den) where H is a lower-triangular tuple-of-tuples of ints with
-    positive diagonal, entries below the diagonal reduced into
-    [0, diagonal), and the lattice equals {r/den : r in rowspan(H)}.
-    The pair is normalized so gcd(den, all entries of H) = 1.
+    `rows` is a sequence of equal-length sequences of integers with at
+    least as many rows as columns and full column rank; an entry that is
+    not an integer (a Fraction, a float) raises TypeError.  Returns H, a
+    lower-triangular tuple-of-tuples of ints with positive diagonal and
+    entries below the diagonal reduced into [0, diagonal), whose rows
+    span the same lattice.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
+    work = [[operator.index(x) for x in r] for r in rows]
+    if not work:
         raise ValueError("empty row list")
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
+    n = len(work[0])
+    if any(len(r) != n for r in work):
         raise ValueError("ragged rows")
-    if len(rows) < n:
+    if len(work) < n:
         raise ValueError("need at least as many rows as columns")
-
-    # ints and Fractions both carry .numerator and .denominator, so no
-    # entry needs converting
-    den = 1
-    for r in rows:
-        for x in r:
-            d = x.denominator
-            if d != 1:
-                den = den * d // math.gcd(den, d)
-    work = [[x.numerator * (den // x.denominator) for x in r] for r in rows]
 
     m = len(work)
     # eliminate columns right to left; the pivot for column j lands in the
@@ -509,15 +499,4 @@ def hnf(rows):
             if q:
                 work[i] = [x - q * y for x, y in zip(work[i], work[j])]
 
-    g = den
-    for r in work:
-        for x in r:
-            g = math.gcd(g, x)
-            if g == 1:
-                break
-        if g == 1:
-            break
-    if g > 1:
-        den //= g
-        work = [[x // g for x in r] for r in work]
-    return tuple(tuple(r) for r in work), den
+    return tuple(tuple(r) for r in work)

@@ -72,10 +72,6 @@ class ExtField:
     def is_zero(self, a):
         return not any(a)
 
-    @property
-    def order(self):
-        return self.p ** self.r
-
 
 def _ext_gcd(K, a, b):
     """Monic gcd of two trimmed coefficient lists over the field K."""
@@ -215,7 +211,7 @@ def build_polygon(F: Poly, phi: Poly, p: int) -> NewtonPolygon:
         raise ValueError("phi must be monic of positive degree")
     if phi.degree > 1:
         _, facs = factor_mod_p(phi, p)
-        if len(facs) != 1 or facs[0][1] != 1 or facs[0][0].degree != phi.degree:
+        if len(facs) != 1 or facs[0][1] != 1 or len(facs[0][0]) != len(phi.coeffs):
             raise ValueError("phi must be irreducible modulo p")
     digits = phi_expansion(F, phi)
     n = len(digits) - 1
@@ -276,7 +272,7 @@ def residual_polynomial(polygon: NewtonPolygon, edge: Edge) -> ResidualPoly:
     r = polygon.phi.degree
     e, d = edge.step
     t = edge.segments
-    modulus = reduce_poly(polygon.phi, p).coeffs if r > 1 else ()
+    modulus = reduce_poly(polygon.phi, p) if r > 1 else ()
     field = ExtField(p, modulus or (0, 1))
 
     cs = []  # by j = 0 .. t, i.e. descending in the auxiliary variable
@@ -299,7 +295,7 @@ def residual_polynomial(polygon: NewtonPolygon, edge: Edge) -> ResidualPoly:
     if r == 1:
         cs = [c[0] for c in cs]
     return ResidualPoly(
-        edge=edge, p=p, modulus=tuple(modulus), coeffs=tuple(reversed(cs))
+        edge=edge, p=p, modulus=modulus, coeffs=tuple(reversed(cs))
     )
 
 
@@ -318,9 +314,9 @@ def ore_index(F: Poly, p: int, translations=()):
     for phibar, mult in facs:
         if mult < 2:
             continue
-        lift = phibar.lift()
-        if phibar.degree == 1:
-            root = (-phibar.coeffs[0]) % p
+        lift = Poly(phibar)
+        if len(phibar) == 2:
+            root = -phibar[0] % p
             for beta in translations:
                 if vp_fraction(Fraction(beta) - root, p) >= 1:
                     lift = X - Fraction(beta)

@@ -17,13 +17,15 @@ helper takes the prime p first and lists of ascending coefficients in
 per coefficient.  The factorizer, the Hensel lift of `sextic` and the
 Dedekind criterion of `verify` all run on it; `fp_add`, `fp_sub`,
 `fp_mul` and division by a monic polynomial only reduce, so they serve
-any modulus.
+any modulus.  A `Poly` crosses into F_p[x] through `reduce_poly` and
+comes back from `factor_mod_p` as plain coefficient tuples: there is no
+polynomial type over F_p, so a value reduced mod p carries no p, and a
+cache of such values is keyed by (p, coefficients).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import INF, InternalError, vp_fraction
@@ -52,10 +54,6 @@ class Poly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def leading(self):
-        return self.coeffs[-1] if self.coeffs else 0
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -301,7 +299,7 @@ def fp_pow_mod(p, base, e: int, mod):
 
 
 # ---------------------------------------------------------------------------
-# reduction of Q-polynomials mod p, and ModPoly values
+# reduction of Q-polynomials mod p
 
 
 def residue_int(c, p: int) -> int:
@@ -314,33 +312,12 @@ def residue_int(c, p: int) -> int:
     return c.numerator * pow(c.denominator, -1, p) % p
 
 
-@dataclass(frozen=True)
-class ModPoly:
-    """A polynomial over F_p, canonical coefficients in [0, p)."""
+def reduce_poly(F: Poly, p: int) -> tuple:
+    """F modulo p as a trimmed tuple of ascending coefficients in [0, p).
 
-    p: int
-    coeffs: tuple  # ascending ints, trimmed
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def lift(self) -> Poly:
-        return Poly(self.coeffs)
-
-    def sort_key(self):
-        return (self.degree, self.coeffs)
-
-
-def reduce_poly(F: Poly, p: int) -> ModPoly:
-    """F modulo p; F must have p-integral coefficients."""
-    cs = [residue_int(c, p) for c in F.coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return ModPoly(p, tuple(cs))
+    F must have p-integral coefficients.
+    """
+    return tuple(_fp_strip([residue_int(c, p) for c in F.coeffs]))
 
 
 # ---------------------------------------------------------------------------
@@ -420,27 +397,18 @@ def factor_mod_p(F: Poly, p: int):
     """Complete factorization of F modulo p, for every prime p.
 
     F must have p-integral coefficients.  Returns (unit, factors) where
-    unit is in [1, p) and factors is a tuple of (monic irreducible
-    ModPoly, multiplicity) sorted by degree then by coefficient tuple.
+    unit is in [1, p) and factors is a tuple of (g, multiplicity), g the
+    trimmed tuple of ascending coefficients of a monic irreducible over
+    F_p, sorted by degree then by coefficient tuple.
     """
     fb = reduce_poly(F, p)
-    if not fb.coeffs:
+    if not fb:
         raise ValueError("cannot factor the zero polynomial")
-    unit = fb.coeffs[-1]
-    found = _ddf(p, fp_monic(p, list(fb.coeffs)))
-    factors = tuple(
-        sorted(
-            ((ModPoly(p, tuple(g)), e) for g, e in found),
-            key=lambda t: t[0].sort_key(),
-        )
+    found = _ddf(p, fp_monic(p, list(fb)))
+    factors = sorted(
+        ((tuple(g), e) for g, e in found), key=lambda t: (len(t[0]), t[0])
     )
-    return unit, factors
-
-
-def poly_gcd_mod_p(A: Poly, B: Poly, p: int) -> ModPoly:
-    a = reduce_poly(A, p).coeffs
-    b = reduce_poly(B, p).coeffs
-    return ModPoly(p, tuple(fp_gcd(p, a, b)))
+    return fb[-1], tuple(factors)
 
 
 # ---------------------------------------------------------------------------

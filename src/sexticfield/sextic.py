@@ -101,7 +101,7 @@ class TrinomialField:
 
     `normalization` records the scaling steps applied to the input pair:
     (p, e) means theta was replaced by theta/p^e, i.e. (a, b) was divided
-    by (p^(5e), p^(6e)).  `D2` is the odd part of D (sign included).
+    by (p^(5e), p^(6e)), and `original` is the input pair before it.
     `unsplit_content` is the part of gcd(a, b) that normalization could
     not factor within its budget (1 when every content prime is known).
     `gcd_factors` factors gcd(a, b) of the normalized pair when
@@ -114,7 +114,6 @@ class TrinomialField:
     b: int
     f: Poly
     D: int
-    D2: int
     normalization: tuple
     original: tuple
     unsplit_content: int = 1
@@ -187,14 +186,11 @@ def normalize(a: int, b: int, factor_budget: int = 2_000_000) -> TrinomialField:
                 found.append((p, e))
                 rest //= p ** e
         gcd_factors = PrimeFactorization(factors=tuple(found), cofactor=rest)
-    D = trinomial_discriminant(a, b)
-    D2 = D >> vp(D, 2)
     return TrinomialField(
         a=a,
         b=b,
         f=trinomial(a, b),
-        D=D,
-        D2=D2,
+        D=trinomial_discriminant(a, b),
         normalization=tuple(applied),
         original=original,
         unsplit_content=unsplit,
@@ -573,7 +569,7 @@ def _local_data(p, field, vD):
     va, vb = vp(a, p), vp(b, p)
     c = SimpleNamespace(p=p, a=a, b=b, va=va, vb=vb, vD=vD)
     if p == 2:
-        c.D2 = field.D2
+        c.D2 = field.D >> vD  # odd part of D, sign included
         c.b4 = b % 4
         c.bq = (b // 4) % 4 if vb >= 2 else None
         c.bs = (b // 16) % 4 if vb >= 4 else None
@@ -749,10 +745,6 @@ class IrreducibilityReport:
     method: str
     witness: Poly | None = None
 
-    @property
-    def proven_irreducible(self) -> bool:
-        return self.status == "irreducible"
-
 
 def _capelli_witness(b):
     """A proper factor of x^6 + b, or None when it is irreducible.
@@ -804,10 +796,10 @@ def _hensel_lift(f, factors, p, M):
     lifts = []
     f = list(f.coeffs)
     for i, g in enumerate(factors[:-1]):
-        g = list(g.coeffs)
+        g = list(g)
         h = [1]
         for other in factors[i + 1:]:
-            h = fp_mul(p, h, other.coeffs)
+            h = fp_mul(p, h, other)
         s = fp_inverse_mod(p, g, h)
         t, _ = fp_divmod(p, fp_sub(p, [1], fp_mul(p, s, g)), h)
         m = p
@@ -922,7 +914,7 @@ def irreducibility_check(field: TrinomialField) -> IrreducibilityReport:
             continue
         sums = {0}
         for g, _ in factors_mod(p):
-            sums |= {s + g.degree for s in sums}
+            sums |= {s + len(g) - 1 for s in sums}
         possible &= sums
         used += 1
         if not possible or used >= 8:

@@ -66,17 +66,15 @@ class OrderPresentation:
     """A multiplicatively closed lattice between Z[theta] and the maximal order.
 
     The basis elements are the triangular theta-power rows over their
-    denominators, with lcm `denominator`; `mult_table[i][j]` gives the
-    integer coordinates of the product of basis elements i and j back in
-    the order basis.  The table is computed eagerly at construction, from
-    the 21 products with i <= j since multiplication commutes, and the
-    constructor refuses lattices that are not closed under
-    multiplication, so holding an OrderPresentation is itself the
-    certificate that the lattice is a ring.
+    denominators; `mult_table[i][j]` gives the integer coordinates of
+    the product of basis elements i and j back in the order basis.  The
+    table is computed eagerly at construction, from the 21 products with
+    i <= j since multiplication commutes, and the constructor refuses
+    lattices that are not closed under multiplication, so holding an
+    OrderPresentation is itself the certificate that the lattice is a
+    ring.
     """
 
-    denominator: int
-    f: Poly
     mult_table: tuple
 
     @classmethod
@@ -119,10 +117,7 @@ class OrderPresentation:
                         "lattice is not closed under multiplication"
                     )
                 table[i][j] = table[j][i] = coords
-        table = tuple(tuple(line) for line in table)
-        return cls(
-            denominator=math.lcm(*denominators), f=f, mult_table=table
-        )
+        return cls(mult_table=tuple(tuple(line) for line in table))
 
     def multiply(self, u, v):
         """Product of two elements given by integer coordinate vectors."""
@@ -154,7 +149,7 @@ def lattice_index(basis) -> int:
         numerators.append(tuple(g[j] for j in range(6)))
         scale *= t
     try:
-        H, _ = hnf(numerators)
+        H = hnf(numerators)
     except ValueError:
         raise ValueError("degenerate basis") from None
     det = math.prod(H[i][i] for i in range(6))
@@ -175,9 +170,9 @@ def dedekind_maximal_at_p(f: Poly, p: int) -> bool:
     q = p * p
     g, h = [1], [1]
     for gbar, e in factors:
-        g = fp_mul(q, g, gbar.coeffs)
+        g = fp_mul(q, g, gbar)
         for _ in range(e - 1):
-            h = fp_mul(q, h, gbar.coeffs)
+            h = fp_mul(q, h, gbar)
     diff = fp_sub(q, fp_mul(q, g, h), f.coeffs)
     if any(c % p for c in diff):
         raise InternalError("lifted factorization does not match mod p")
@@ -264,10 +259,7 @@ def _radical_basis(order: OrderPresentation, p: int):
 
     gens = [[p if i == j else 0 for j in range(6)] for i in range(6)]
     gens.extend(list(v) for v in nilpotents)
-    BI, den = hnf(gens)
-    if den != 1:
-        raise InternalError("radical lattice has a denominator")
-    return BI
+    return hnf(gens)
 
 
 def _radical_image(order: OrderPresentation, BI):

@@ -107,9 +107,7 @@ def radical_basis(table, p):
     transpose = [[mat[j][i] for j in range(6)] for i in range(6)]
     gens = [[p * int(i == j) for j in range(6)] for i in range(6)]
     gens.extend(list(v) for v in kernel_mod_p(transpose, p))
-    BI, den = hnf(gens)
-    assert den == 1
-    return BI
+    return hnf(gens)
 
 
 def radical_image(table, BI):

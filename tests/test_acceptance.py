@@ -2,7 +2,8 @@
 
 One test per promised behavior: the three fully worked fields, the
 polygon walkthroughs, the lattice-point identity, the steered sweep
-over all 87 classification cases (with ring verification), the Ore
+over all 87 classification cases (with ring verification), the
+exhaustive box of small coefficients at 2, 3 and 5, the Ore
 oracle, the pure-sextic closed form, the local exponent round-trip,
 and the discriminant formula.
 """
@@ -91,7 +92,7 @@ def test_field_4_4_end_to_end():
     start = time.monotonic()
     field = normalize(4, 4)
     rep = irreducibility_check(field)
-    assert rep.proven_irreducible
+    assert rep.status == "irreducible"
     # the proof must come from the wild-ramification degree bound, not
     # from a lucky factorization pattern
     assert "ramification at 2" in rep.method
@@ -189,6 +190,44 @@ def test_case_table_sweep():
     assert time.monotonic() - start < 600.0
 
 
+def check_box(R):
+    """Every (a, b) with |a|, |b| <= R, b != 0 and D != 0, at each of
+    2, 3 and 5 that divides D: the table of p matches exactly one row
+    (`p_integral_basis` raises otherwise) and Cohen's test proves that
+    row's basis p-maximal.  Returns the number of checks and the set of
+    labels reached.
+
+    R = 150 holds a representative of every residue class of (a, b)
+    mod 2^8, 3^5 and 5^3; CI runs that box as a step of its own with
+
+        python -c "import sys; sys.path[:0] = ['tests'];
+                   from test_acceptance import check_box; check_box(150)"
+    """
+    checks, labels = 0, set()
+    for a in range(-R, R + 1):
+        for b in range(-R, R + 1):
+            if b == 0 or 3125 * a ** 6 == 46656 * b ** 5:
+                continue
+            field = normalize(a, b)
+            for p in (2, 3, 5):
+                if field.D % p:
+                    continue
+                pb = p_integral_basis(p, field)
+                order = OrderPresentation.from_triangular(
+                    pb.rows, tuple(p ** k for k in pb.k), field.f
+                )
+                assert maximality_test(order, p), (a, b, p, pb.case)
+                checks += 1
+                labels.add(pb.case)
+    return checks, labels
+
+
+def test_case_table_box():
+    checks, labels = check_box(40)
+    assert checks == 6730
+    assert len(labels) == 55
+
+
 def test_ore_oracle_agreement():
     checked = 0
     for label, p, field, params, pb in _sweep():
@@ -213,7 +252,7 @@ def test_pure_sextic_cross_check():
             continue
         field = normalize(0, b)
         assert field.b == b  # sixth-power-free, so nothing to absorb
-        if not irreducibility_check(field).proven_irreducible:
+        if irreducibility_check(field).status != "irreducible":
             continue
         closed_form = pure_sextic_discriminant(b)
         asm = assemble(field)

@@ -1,11 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import json
 import random
 import re
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sexticfield import cli
@@ -473,3 +475,42 @@ def test_hidden_gcd_prime_is_classified(capsys):
         "part of it prime to 30ab is assumed squarefree, so no prime in "
         "that part divides the index"
     ]
+
+
+_BIG = 10 ** 120
+_UNIFORM_PAIRS = st.tuples(
+    st.integers(-_BIG, _BIG), st.integers(-_BIG, _BIG).filter(bool)
+)
+
+
+@st.composite
+def _shared_power_pairs(draw):
+    """a = g^i * u, b = g^j * v for an odd g of 40 to 60 bits: content
+    above the trial limit, and gcd primes that uniform pairs never hit."""
+    g = draw(st.integers(2 ** 39, 2 ** 60 - 1)) | 1
+    u = draw(st.integers(-10 ** 6, 10 ** 6))
+    v = draw(st.integers(-10 ** 6, 10 ** 6).filter(bool))
+    return g ** draw(st.integers(0, 6)) * u, g ** draw(st.integers(0, 7)) * v
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_UNIFORM_PAIRS, _shared_power_pairs()))
+def test_cli_boundary_on_drawn_pairs(pair):
+    """No pair ends in a traceback or an unverified answer: the run exits
+    0 or 2 with nothing on stderr and JSON on stdout; a field passes
+    --verify full, and D = index^2 * d_K once D is fully factored."""
+    a, b = pair
+    assume(3125 * a ** 6 != 46656 * b ** 5)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["--a", str(a), "--b", str(b), "--json", "--verify", "full",
+                    "--factor-budget", "100"])
+    assert code in (0, 2), err.getvalue()
+    assert err.getvalue() == ""
+    report = json.loads(out.getvalue())
+    if code == 0:
+        assert report["verification"]["all_passed"]
+        if "unfactored_cofactor" not in report["discriminant"]:
+            D = int(report["discriminant"]["value"])
+            d_K = int(report["field_discriminant"]["d_K"])
+            assert D == int(report["index"]) ** 2 * d_K

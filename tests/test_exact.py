@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracmat import mat_det, mat_identity
+from fracmat import mat_det
 from trialloop import factor_by_loop
 
 from sexticfield import cli, exact
@@ -244,31 +245,31 @@ def test_block_products_are_built_lazily(monkeypatch, capsys):
 
 
 def test_hnf_identity_lattice():
-    H, den = hnf(mat_identity(4))
-    assert den == 1
+    H = hnf([[int(i == j) for j in range(4)] for i in range(4)])
     assert H == tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 
 
 def test_hnf_known():
-    rows = [
-        (1, 0, 0),
-        (Fraction(1, 2), Fraction(1, 2), 0),
-        (0, 0, Fraction(1, 3)),
-    ]
-    H, den = hnf(rows)
-    assert den == 6
-    assert H == ((6, 0, 0), (3, 3, 0), (0, 0, 2))
+    assert hnf([(1, 2), (3, 4)]) == ((1, 0), (0, 2))
+    # the lattice of 1, (1 + theta)/2, theta^2/3 over the common
+    # denominator 6, given through a unimodular mix of its rows
+    rows = [(9, 3, 0), (3, 3, 0), (3, 3, 2)]
+    assert hnf(rows) == ((6, 0, 0), (3, 3, 0), (0, 0, 2))
 
 
 def test_hnf_rectangular_and_errors():
     rows = [(2, 0), (0, 2), (1, 1)]
-    H, den = hnf(rows)
-    assert den == 1
-    assert H == ((2, 0), (1, 1))
+    assert hnf(rows) == ((2, 0), (1, 1))
     with pytest.raises(ValueError):
         hnf([(1, 2, 3), (2, 4, 6), (0, 0, 0)])
     with pytest.raises(ValueError):
         hnf([(1, 2)])
+
+
+def test_hnf_refuses_non_integer_entries():
+    for bad in (Fraction(1, 2), Fraction(1), 1.0):
+        with pytest.raises(TypeError):
+            hnf([(1, 0), (0, bad)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,12 +281,11 @@ def test_hnf_rectangular_and_errors():
     ),
     st.integers(1, 4),
 )
-def test_hnf_unimodular_invariance(mat, denom):
+def test_hnf_unimodular_invariance(mat, scale):
     # skip singular inputs
-    det = mat_det([[Fraction(x) for x in row] for row in mat])
-    if det == 0:
+    if mat_det(mat) == 0:
         return
-    rows = [[Fraction(x, denom) for x in row] for row in mat]
+    rows = [[x * scale for x in row] for row in mat]
     H1 = hnf(rows)
     # multiply by a fixed unimodular matrix: same lattice, same HNF
     U = [(1, 2, 0), (0, 1, 0), (3, 5, 1)]
@@ -293,8 +293,9 @@ def test_hnf_unimodular_invariance(mat, denom):
         [sum(U[i][k] * rows[k][j] for k in range(3)) for j in range(3)]
         for i in range(3)
     ]
-    H2 = hnf(mixed)
-    assert H1 == H2
+    assert hnf(mixed) == H1
+    # scaling the lattice scales its Hermite form
+    assert H1 == tuple(tuple(x * scale for x in row) for row in hnf(mat))
 
 
 @settings(max_examples=80, deadline=None)
@@ -302,34 +303,33 @@ def test_hnf_unimodular_invariance(mat, denom):
     st.integers(3, 6),
     st.integers(0, 3),
     st.lists(st.integers(-40, 40), min_size=54, max_size=54),
-    st.lists(st.sampled_from((1, 1, 1, 2, 3, 4, 9)), min_size=54, max_size=54),
 )
-def test_hnf_reads_ints_as_fractions(n, extra, entries, dens):
-    """hnf reads numerator and denominator off each entry directly; the
-    result is that of the same rows wrapped in Fraction, for integer
-    rows, for rows with denominators, and with more rows than columns.
-    Both also equal the form of the rows cleared of denominators by
-    their lcm L, with L put back into the denominator."""
-    m = n + extra
-    ints = [entries[i * n:(i + 1) * n] for i in range(m)]
-    mixed = [
-        [x if d == 1 else Fraction(x, d) for x, d in zip(row, dens[i * n:])]
-        for i, row in enumerate(ints)
-    ]
-    for rows in (ints, mixed):
-        wrapped = [[Fraction(x) for x in row] for row in rows]
-        L = math.lcm(*(x.denominator for row in wrapped for x in row))
-        try:
-            H, den = hnf([[int(x * L) for x in row] for row in wrapped])
-        except ValueError:
-            for form in (rows, wrapped):
-                with pytest.raises(ValueError):
-                    hnf(form)
-            continue
-        g = math.gcd(den * L, *(x for row in H for x in row))
-        want = tuple(tuple(x // g for x in row) for row in H), den * L // g
-        assert hnf(rows) == want
-        assert hnf(wrapped) == want
+def test_hnf_spans_the_lattice_of_integer_rows(n, extra, entries):
+    """With as many rows as columns or more, H is in Hermite form, every
+    input row lies in the span of H, and det H is the gcd of the
+    maximal minors, the covolume of the input lattice; so both lattices
+    are one.  Rank-deficient input raises ValueError."""
+    rows = [entries[i * n:(i + 1) * n] for i in range(n + extra)]
+    covolume = math.gcd(*(
+        int(mat_det(minor)) for minor in itertools.combinations(rows, n)
+    ))
+    if covolume == 0:
+        with pytest.raises(ValueError):
+            hnf(rows)
+        return
+    H = hnf(rows)
+    for i in range(n):
+        assert H[i][i] > 0
+        assert all(x == 0 for x in H[i][i + 1:])
+        assert all(0 <= H[i][j] < H[j][j] for j in range(i))
+    assert math.prod(H[i][i] for i in range(n)) == covolume
+    for row in rows:
+        w = list(row)
+        for k in range(n - 1, -1, -1):
+            q, r = divmod(w[k], H[k][k])
+            assert r == 0
+            w = [x - q * y for x, y in zip(w, H[k])]
+        assert not any(w)
 
 
 def test_prime_factorization_dataclass():

@@ -43,7 +43,7 @@ def test_normalize_plain():
     assert F.normalization == ()
     assert F.f == trinomial(0, 12)
     assert F.D == -(2 ** 16) * 3 ** 11
-    assert F.D2 == -(3 ** 11)
+    assert F.D >> vp(F.D, 2) == -(3 ** 11)
 
 
 def test_normalize_strips_content():

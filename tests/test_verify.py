@@ -37,7 +37,10 @@ def test_order_presentation_accepts_orders():
     order = OrderPresentation.from_triangular(
         POWER_ROWS, (1, 1, 1, 2, 2, 2), f
     )
-    assert order.denominator == 2
+    # e_0 = 1, so its line of the table holds the unit vectors
+    assert order.mult_table[0] == tuple(
+        tuple(int(i == j) for i in range(6)) for j in range(6)
+    )
 
 
 def test_order_presentation_rejects_non_ring():
@@ -321,7 +324,7 @@ def test_radical_image_refuses_a_lattice_that_is_no_ideal():
         POWER_ROWS, (1,) * 6, trinomial(0, 12)
     )
     gens = [[2 * int(i == j) for j in range(6)] for i in range(6)]
-    BI, _ = hnf(gens + [[0, 1, 0, 0, 0, 0]])
+    BI = hnf(gens + [[0, 1, 0, 0, 0, 0]])
     with pytest.raises(InternalError):
         _radical_image(order, BI)
     with pytest.raises(InternalError):
