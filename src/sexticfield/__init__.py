@@ -7,29 +7,25 @@ field discriminant — prime by prime via an explicit 87-configuration
 classification, glued together by CRT.
 
 The one-call entry point is `assemble(normalize(a, b))`; everything it
-rests on (exact integer kernels, polynomial arithmetic, Newton
-polygons, the per-prime case tables, and the independent verification
-layer) is importable from the submodules re-exported here.
+rests on (exact integer kernels, polynomial arithmetic, the per-prime
+case tables, and the independent verification layer) and the Newton
+polygons that `--explain` draws are importable from the submodules
+re-exported here.  The package holds only code the pipeline runs; the
+oracles the test suite checks it against (the Ore/Montes index bound,
+local exponent profiles, the discriminant as a norm) are in
+`tests/oracles.py`.
 """
 
-from .basis import (
-    Assembly,
-    IntegralBasis,
-    assemble,
-    combine,
-    prime_exponent_profile,
-)
+from .basis import Assembly, IntegralBasis, assemble, combine
 from .exact import InternalError, PrimeFactorization, factor
-from .newton import NewtonPolygon, build_polygon, ore_index
-from .poly import Poly, discriminant, is_integral, trinomial
+from .newton import NewtonPolygon, build_polygon
+from .poly import Poly, is_integral, trinomial
 from .sextic import (
     CASE_LABELS,
-    REGULAR_ROUTE,
     IrreducibilityReport,
     PAdicBasis,
     PureSexticReport,
     TrinomialField,
-    classify,
     irreducibility_check,
     normalize,
     ore_translations,
@@ -58,24 +54,19 @@ __all__ = [
     "Poly",
     "PrimeFactorization",
     "PureSexticReport",
-    "REGULAR_ROUTE",
     "TrinomialField",
     "assemble",
     "build_polygon",
-    "classify",
     "combine",
     "dedekind_maximal_at_p",
-    "discriminant",
     "factor",
     "irreducibility_check",
     "is_integral",
     "lattice_index",
     "maximality_test",
     "normalize",
-    "ore_index",
     "ore_translations",
     "p_integral_basis",
-    "prime_exponent_profile",
     "pure_sextic_discriminant",
     "trinomial",
     "trinomial_discriminant",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from .exact import InternalError, PrimeFactorization, crt_lift, factor, hnf, vp
+from .exact import FACTOR_BUDGET, InternalError, PrimeFactorization, crt_lift, factor, vp
 from .poly import Poly
 from .sextic import TrinomialField, p_integral_basis, reduce_triangular_rows
 
@@ -22,7 +22,6 @@ __all__ = [
     "IntegralBasis",
     "Assembly",
     "combine",
-    "prime_exponent_profile",
     "assemble",
 ]
 
@@ -116,37 +115,6 @@ def combine(p_bases, D: int) -> IntegralBasis:
     )
 
 
-def prime_exponent_profile(basis: IntegralBasis, p: int) -> tuple:
-    """Local denominator exponents of the spanned lattice at p.
-
-    Clears the prime-to-p part of every row, saturates at all other
-    primes, and reads the exponents off the Hermite form diagonal.
-    Serves as a round-trip check that gluing preserved each local
-    lattice exactly.
-    """
-    exps = [vp(t, p) for t in basis.denominators]
-    K = max(exps)
-    T = p ** K
-    vecs = []
-    for i in range(6):
-        scale = T // p ** exps[i]
-        vec = [basis.rows[i][j] * scale for j in range(i)]
-        vec.append(scale)
-        vec.extend([0] * (5 - i))
-        vecs.append(vec)
-    for j in range(6):
-        vecs.append([0] * j + [T] + [0] * (5 - j))
-    H = hnf(vecs)
-    profile = []
-    for i in range(6):
-        d = H[i][i]
-        e = vp(d, p)
-        if p ** e != d:
-            raise InternalError(f"diagonal entry {d} is not a power of {p}")
-        profile.append(K - e)
-    return tuple(profile)
-
-
 @dataclasses.dataclass(frozen=True)
 class Assembly:
     """Everything the pipeline learned about one field."""
@@ -158,7 +126,7 @@ class Assembly:
     warnings: tuple
 
 
-def assemble(field: TrinomialField, factor_budget: int = 2_000_000) -> Assembly:
+def assemble(field: TrinomialField, factor_budget: int = FACTOR_BUDGET) -> Assembly:
     """Factor the discriminant, treat every prime factor, and glue.
 
     For p > 5 a prime dividing D and one of a, b divides both, so the

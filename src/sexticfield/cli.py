@@ -28,7 +28,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .basis import assemble, combine
-from .exact import INF, InternalError, floor_root, is_prime, vp
+from .exact import FACTOR_BUDGET, INF, InternalError, floor_root, is_prime, vp
 from .newton import build_polygon
 from .poly import Poly, X, is_integral
 from .sextic import (
@@ -74,8 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include Newton polygons and parameter derivations")
     p.add_argument("--verify", choices=("none", "basic", "full"),
                    default="basic", help="how much to re-check (default basic)")
-    p.add_argument("--factor-budget", type=int, default=2_000_000,
-                   help="iteration budget for factoring the discriminant")
+    p.add_argument("--factor-budget", type=int, default=FACTOR_BUDGET,
+                   help="iteration budget for factoring the discriminant "
+                        "(default %(default)s)")
     p.add_argument("--pure", action="store_true",
                    help="when a = 0, cross-check via the closed-form rule")
     return p
@@ -208,7 +209,7 @@ def _prime_entry(pb, f: Poly, explain: bool):
             # the index claim for this case rests on the polygon taken
             # at the translated base, not at t itself
             t0 = Fraction(translations[0])
-            shown = f"{t0}" if t0.denominator == 1 else f"({t0})"
+            shown = f"{t0}" if t0.denominator == 1 and t0 >= 0 else f"({t0})"
             entry["explain"]["translated_polygon"] = _polygon_dict(
                 f, pb.p, X - t0, base=f"t - {shown}"
             )

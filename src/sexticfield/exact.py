@@ -27,6 +27,10 @@ from functools import lru_cache
 
 INF = math.inf
 
+# Brent rho iterations allowed per `factor` call unless the caller (or
+# --factor-budget) says otherwise
+FACTOR_BUDGET = 2_000_000
+
 
 class InternalError(RuntimeError):
     """An invariant that should be unreachable was violated."""
@@ -389,7 +393,7 @@ def _perfect_power(n: int):
     return None
 
 
-def factor(n: int, budget: int = 2_000_000) -> PrimeFactorization:
+def factor(n: int, budget: int = FACTOR_BUDGET) -> PrimeFactorization:
     """Factor n with trial division, perfect powers, and budgeted rho.
 
     Never fails: whatever cannot be split within the budget is returned

@@ -6,8 +6,7 @@ phi-adic expansion used by the Newton-polygon machinery, the
 integrality test for algebraic numbers given in root-power coordinates
 (their characteristic polynomials by division-free Berkowitz on the
 integer multiplication matrix, run modulo t^n for an element over
-denominator t, and skipped for t = 1), the discriminant as the norm of
-f'(theta) from that same kernel over Z, and complete factorization
+denominator t, and skipped for t = 1), and complete factorization
 modulo a prime by one distinct-degree / equal-degree factorizer that
 serves every p.
 
@@ -412,7 +411,7 @@ def factor_mod_p(F: Poly, p: int):
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomials and the discriminant
+# characteristic polynomials and the integrality test
 
 
 def _berkowitz(M, modulus=0):
@@ -473,12 +472,6 @@ def _multiplication_matrix(g: Poly, f: Poly, modulus=0):
     return M
 
 
-def _char_poly_numerators(g: Poly, t: int, f: Poly):
-    """det(y*I - M_g) as [1, c_1, ..., c_n], M_g multiplication by g(theta)."""
-    _check_element(g, t, f)
-    return _berkowitz(_multiplication_matrix(g, f))
-
-
 def is_integral(g: Poly, t: int, f: Poly) -> bool:
     """Is g(theta)/t an algebraic integer (theta a root of monic f)?
 
@@ -494,17 +487,3 @@ def is_integral(g: Poly, t: int, f: Poly) -> bool:
     c = _berkowitz(_multiplication_matrix(g, f, m), m)
     return all(ck % t ** k == 0 for k, ck in enumerate(c))
 
-
-def discriminant(F: Poly) -> int:
-    """disc(F) = (-1)^(n(n-1)/2) N(F'(theta)) for monic integer F, n >= 1.
-
-    The norm of F'(theta) is (-1)^n c_n, with c_n the constant term of
-    its characteristic polynomial from Berkowitz.
-    """
-    if not F.is_monic():
-        raise ValueError("monic polynomial expected")
-    n = F.degree
-    if n < 1:
-        raise ValueError("positive degree expected")
-    norm = (-1) ** n * _char_poly_numerators(F.derivative(), 1, F)[n]
-    return (-1) ** (n * (n - 1) // 2) * norm

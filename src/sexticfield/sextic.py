@@ -51,6 +51,7 @@ from fractions import Fraction
 from types import MappingProxyType, SimpleNamespace
 
 from .exact import (
+    FACTOR_BUDGET,
     INF,
     TRIAL_LIMIT,
     InternalError,
@@ -78,11 +79,9 @@ __all__ = [
     "PAdicBasis",
     "PureSexticReport",
     "IrreducibilityReport",
-    "REGULAR_ROUTE",
     "CASE_LABELS",
     "normalize",
     "trinomial_discriminant",
-    "classify",
     "p_integral_basis",
     "pure_sextic_discriminant",
     "irreducibility_check",
@@ -134,7 +133,7 @@ def trinomial_discriminant(a: int, b: int) -> int:
     return D
 
 
-def normalize(a: int, b: int, factor_budget: int = 2_000_000) -> TrinomialField:
+def normalize(a: int, b: int, factor_budget: int = FACTOR_BUDGET) -> TrinomialField:
     """Strip common p^5 | a, p^6 | b content and package the result.
 
     Replacing theta by theta/p turns x^6 + a*x + b into
@@ -209,8 +208,9 @@ class PAdicBasis:
     `rows` holds six coefficient tuples of lengths 0..5, already reduced
     to the canonical range 0 <= c_ij < p^(k_i - k_j).  `v_D` and `v_dK`
     are the case's claimed valuations; they satisfy
-    2*sum(k) + v_dK == v_D by construction.  `params` is the case's
-    read-only parameter mapping (see `classify`).
+    2*sum(k) + v_dK == v_D by construction.  `params` is a read-only
+    mapping holding only the names the case sets (see the row builders),
+    in a fixed order.
     """
 
     p: int
@@ -549,16 +549,6 @@ CASE_LABELS = tuple(
     row[0] for table in (_TABLE_2, _TABLE_3, _TABLE_5, _TABLE_LARGE) for row in table
 )
 
-# Cases whose index count is certified by squarefree residual polynomials,
-# so the polygon machinery reproduces sum(k_i) exactly.
-REGULAR_ROUTE = frozenset(
-    [f"E{i}" for i in range(2, 17)]
-    + [f"F{i}" for i in range(2, 25)]
-    + [f"G{i}" for i in range(2, 23)]
-    + [f"H{i}" for i in range(2, 13)]
-)
-
-
 # ---------------------------------------------------------------------------
 # the evaluator
 
@@ -625,20 +615,6 @@ def p_integral_basis(p: int, field: TrinomialField) -> PAdicBasis:
     return PAdicBasis(p, label, params, k, rows, vD, v_dK)
 
 
-def classify(p: int, field: TrinomialField):
-    """(case label, parameters) for the prime p.
-
-    Exactly one of the 87 cases matches a normalized (a, b); zero or
-    multiple matches raise InternalError.  The parameters are a
-    read-only mapping holding only the names the case sets (see the row
-    builders), in a fixed order.
-    """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    pb = p_integral_basis(p, field)
-    return pb.case, pb.params
-
-
 def ore_translations(params):
     """Translation points that resolve the case's repeated linear factor.
 
@@ -676,7 +652,7 @@ class PureSexticReport:
     d_K: int
 
 
-def pure_sextic_discriminant(b: int, factor_budget: int = 2_000_000) -> PureSexticReport:
+def pure_sextic_discriminant(b: int, factor_budget: int = FACTOR_BUDGET) -> PureSexticReport:
     """Field discriminant of Q(b^(1/6)) straight from congruences on b.
 
     Requires b sixth-power-free and x^6 + b irreducible (equivalently,

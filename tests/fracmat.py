@@ -8,7 +8,8 @@ test reads.
 
 from fractions import Fraction
 
-from sexticfield.poly import Poly, _char_poly_numerators
+from oracles import char_poly_numerators
+from sexticfield.poly import Poly
 
 
 def mat_identity(n: int):
@@ -74,6 +75,6 @@ def char_poly_of_element(g: Poly, t: int, f: Poly) -> Poly:
     coefficient of y^(n-k) is c_k / t^k, with c_k from Berkowitz on the
     integer multiplication matrix of g(theta).
     """
-    c = _char_poly_numerators(g, t, f)
+    c = char_poly_numerators(g, t, f)
     n = len(c) - 1
     return Poly(tuple(Fraction(c[n - k], t ** (n - k)) for k in range(n + 1)))

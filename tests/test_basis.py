@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 
 from casegen import instance
 from fracmat import mat_det
-from sexticfield.basis import (
-    IntegralBasis,
-    assemble,
-    combine,
-    prime_exponent_profile,
-)
+from oracles import prime_exponent_profile
+from sexticfield.basis import IntegralBasis, assemble, combine
 from sexticfield.exact import InternalError, is_prime, vp
 from sexticfield.sextic import normalize, p_integral_basis, reduce_triangular_rows
 

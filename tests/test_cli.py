@@ -2,8 +2,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,6 +157,51 @@ def test_explain_translated_polygon(capsys):
     assert report["primes"][0]["case"] == "H12"
     assert exp["polygon"]["base"] == "t"
     assert exp["translated_polygon"]["base"] == "t - (-6/5)"
+    # a negative integer translation point is parenthesized the same way
+    argv = ["--a", "-6", "--b", "-20", "--prime", "5", "--explain"]
+    code, out, _ = _capture(capsys, argv + ["--json"])
+    assert code == 0
+    exp = json.loads(out)["primes"][0]["explain"]
+    assert exp["translated_polygon"]["base"] == "t - (-4)"
+    code, out, _ = _capture(capsys, argv)
+    assert code == 0
+    assert "polygon in t - (-4)" in out
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+# run by a fresh interpreter: the report goes to stdout, the names of the
+# modules loaded from tests/ to the last line of stderr
+_SRC_ONLY = """
+import json, os, sys
+sys.path.insert(0, {src!r})
+from sexticfield import cli
+code = cli.run({argv!r})
+files = {{name: getattr(mod, "__file__", None) for name, mod in sys.modules.items()}}
+loaded = sorted(name for name, file in files.items()
+                if file and os.path.realpath(file).startswith({tests!r}))
+print(json.dumps(loaded), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_package_runs_from_src_alone(tmp_path):
+    """With only src on sys.path (-I -S: no PYTHONPATH, site-packages or
+    script directory) and run outside the checkout, --explain --verify
+    full answers and loads no module of the test suite."""
+    argv = ["--a", "-6", "--b", "-20", "--json", "--explain", "--verify", "full"]
+    tests = str(Path(__file__).resolve().parent) + os.sep
+    script = _SRC_ONLY.format(src=str(_SRC), argv=argv, tests=tests)
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == []
+    report = json.loads(proc.stdout)
+    (entry,) = [e for e in report["primes"] if e["prime"] == "5"]
+    assert entry["case"] == "G6"
+    assert "translated_polygon" in entry["explain"]
 
 
 def test_pure_cross_check(capsys):

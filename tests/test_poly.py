@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracmat import char_poly_of_element, mat_det
+from oracles import ExtField, discriminant
 
-from sexticfield.newton import ExtField
 from sexticfield.poly import (
     Poly,
     X,
-    discriminant,
     factor_mod_p,
     fp_add,
     fp_divmod,

@@ -12,8 +12,6 @@ from sexticfield.exact import InternalError, vp, vp_fraction
 from sexticfield.poly import Poly, is_integral, trinomial
 from sexticfield.sextic import (
     CASE_LABELS,
-    REGULAR_ROUTE,
-    classify,
     irreducibility_check,
     normalize,
     ore_translations,
@@ -24,6 +22,7 @@ from sexticfield.sextic import (
 )
 
 from casegen import instance
+from oracles import REGULAR_ROUTE
 
 
 def test_discriminant_values():
@@ -141,26 +140,26 @@ def test_normalize_rejects_degenerate():
 
 def test_classify_worked_examples():
     F = normalize(0, 12)
-    assert classify(2, F)[0] == "E20"
-    assert classify(3, F)[0] == "F3"
-    assert classify(7, F)[0] == "H1"
+    assert p_integral_basis(2, F).case == "E20"
+    assert p_integral_basis(3, F).case == "F3"
+    assert p_integral_basis(7, F).case == "H1"
 
     F = normalize(0, 135)
-    assert classify(2, F)[0] == "E17"
-    label, params = classify(3, F)
-    assert label == "F26"
-    assert params["B"] == 5
-    assert classify(5, F)[0] == "G8"
+    assert p_integral_basis(2, F).case == "E17"
+    B = p_integral_basis(3, F)
+    assert B.case == "F26"
+    assert B.params["B"] == 5
+    assert p_integral_basis(5, F).case == "G8"
 
     F = normalize(4, 4)
-    assert classify(2, F)[0] == "E18"
-    assert classify(3, F)[0] == "F1"
-    label, params = classify(8539, F)
-    assert label == "H12"
-    assert params["m"] == 0
+    assert p_integral_basis(2, F).case == "E18"
+    assert p_integral_basis(3, F).case == "F1"
+    B = p_integral_basis(8539, F)
+    assert B.case == "H12"
+    assert B.params["m"] == 0
 
     with pytest.raises(ValueError):
-        classify(6, F)
+        p_integral_basis(6, F)
 
 
 def test_basis_worked_example_1_3():
@@ -231,9 +230,8 @@ def test_case_dispatch_unique_and_consistent():
     for label in CASE_LABELS:
         for _ in range(3):
             p, F = instance(label, rng)
-            got, _ = classify(p, F)
-            assert got == label
             B = p_integral_basis(p, F)
+            assert B.case == label
             assert vp(F.D, p) == B.v_D
             assert 2 * sum(B.k) + B.v_dK == B.v_D
             assert B.k[0] == 0
@@ -261,7 +259,7 @@ def test_deep_case_parameters():
 
     for _ in range(5):
         p, F = instance("E13", rng)
-        label, prm = classify(2, F)
+        prm = p_integral_basis(2, F).params
         a1 = F.a // 2
         assert prm["beta"] == Fraction(-6 * F.b, 5 * F.a)
         assert prm["s0"] == vp(F.D, 2) - 6 and prm["s1"] == vp(F.D, 2) - 5
@@ -272,7 +270,7 @@ def test_deep_case_parameters():
 
     for _ in range(5):
         p, F = instance("E14", rng)
-        _, prm = classify(2, F)
+        prm = p_integral_basis(2, F).params
         a1 = F.a // 2
         k5 = (vp(F.D, 2) - 4) // 2
         assert prm["u"] == (vp(F.D, 2) - 6) // 2
@@ -281,21 +279,21 @@ def test_deep_case_parameters():
 
     for _ in range(5):
         p, F = instance("E15", rng)
-        _, prm = classify(2, F)
+        prm = p_integral_basis(2, F).params
         a1 = F.a // 2
         k5 = (vp(F.D, 2) - 6) // 2
         assert (5 * a1 * prm["x2"] + 3 * F.b) % 2 ** k5 == 0
 
     for _ in range(5):
         p, F = instance("F22", rng)
-        _, prm = classify(3, F)
+        prm = p_integral_basis(3, F).params
         a1 = F.a // 3
         assert (5 * a1 * prm["x1"] + 2 * F.b) % 9 == 0
 
     for case, xattr, kattr in (("F23", "x2", "k2"), ("F24", "x3", "k3")):
         for _ in range(5):
             p, F = instance(case, rng)
-            _, prm = classify(3, F)
+            prm = p_integral_basis(3, F).params
             a1 = F.a // 3
             x = prm[xattr]
             kk = prm[kattr]
@@ -304,7 +302,7 @@ def test_deep_case_parameters():
     for case, kattr, xattr in (("G6", "k0", "x0"), ("G7", "k1", "x1")):
         for _ in range(5):
             p, F = instance(case, rng)
-            _, prm = classify(5, F)
+            prm = p_integral_basis(5, F).params
             x = prm[xattr]
             kk = prm[kattr]
             assert (F.a * x + 6 * (F.b // 5)) % 5 ** kk == 0
@@ -313,7 +311,7 @@ def test_deep_case_parameters():
     for case in ("H11", "H12"):
         for _ in range(5):
             p, F = instance(case, rng)
-            _, prm = classify(p, F)
+            prm = p_integral_basis(p, F).params
             mod = p ** prm["m"]
             x, y, z, v, w = prm["row_solution"]
             A5, B6 = 5 * F.a, 6 * F.b
@@ -328,14 +326,14 @@ def test_unit_sign_cases():
     rng = random.Random(777)
     for _ in range(8):
         p, F = instance("F19", rng)
-        _, prm = classify(3, F)
+        prm = p_integral_basis(3, F).params
         assert prm["eps"] == (-1 if F.a % 9 == 3 else 1)
         B = p_integral_basis(3, F)
         e = prm["eps"] % 3
         assert B.rows[5] == (e, 1, e, 1, e)
     for _ in range(8):
         p, F = instance("F21", rng)
-        _, prm = classify(3, F)
+        prm = p_integral_basis(3, F).params
         assert prm["eps"] == (-1 if F.a % 9 == 6 else 1)
 
 
@@ -354,10 +352,10 @@ def test_ore_translations_map():
     for label, attr in (("E13", "beta"), ("F22", "beta"), ("G6", "beta"),
                         ("H12", "beta"), ("E14", "delta"), ("E15", "delta")):
         p, F = instance(label, rng)
-        _, prm = classify(p, F)
+        prm = p_integral_basis(p, F).params
         assert ore_translations(prm) == (prm[attr],)
     p, F = instance("E5", rng)
-    _, prm = classify(2, F)
+    prm = p_integral_basis(2, F).params
     assert ore_translations(prm) == ()
 
 

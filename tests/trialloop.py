@@ -7,6 +7,7 @@ helpers, so the two must return the same factorization.
 """
 
 from sexticfield.exact import (
+    FACTOR_BUDGET,
     TRIAL_LIMIT,
     PrimeFactorization,
     _brent_rho,
@@ -15,7 +16,7 @@ from sexticfield.exact import (
 )
 
 
-def factor_by_loop(n: int, budget: int = 2_000_000) -> PrimeFactorization:
+def factor_by_loop(n: int, budget: int = FACTOR_BUDGET) -> PrimeFactorization:
     sign = -1 if n < 0 else 1
     n = abs(n)
     found = {}
