@@ -1,13 +1,18 @@
 """Exact integer and rational utilities shared by the whole package.
 
 Everything here is deterministic and allocation-light: valuations,
-modular arithmetic, integer roots, a budgeted integer factorizer and
-Hermite normal form for integer row lattices.  The factorizer's trial
-stage divides by gcds, not by single primes (Bernstein, "How to find
-small factors of integers"): the primes up to 10^6 fall into blocks of
-fixed width, the product of each block's primes is built on first use
-by a segmented sieve and kept, and one gcd with it finds every prime of
-the block that divides n.  Perfect powers are found with exact integer
+modular arithmetic, integer roots, primality, a budgeted integer
+factorizer and Hermite normal form for integer row lattices.
+`is_prime` is a proof below 3.3e24 (Miller-Rabin to the prime bases up
+to 37); from there up it is BPSW, a strong test to base 2 and a strong
+Lucas test, so a "prime" there is a probable prime: no composite is
+known to pass, but that is not a proof.  The factorizer's trial stage
+divides by gcds, not by single primes (Bernstein, "How to find small
+factors of integers"): the primes up to 10^6 fall into blocks of fixed
+width, the product of each block's primes is built on first use by a
+segmented sieve and kept in 4096-bit pieces, and one gcd with it,
+reduced mod n by multiplying the pieces, finds every prime of the
+block that divides n.  Perfect powers are found with exact integer
 roots, and what remains goes to Brent's rho under an iteration budget.
 `normalize` reuses the same trial stage.  There are no matrix
 inverses or determinants over Fractions: the verification layer works
@@ -43,12 +48,9 @@ class InternalError(RuntimeError):
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Deterministic Miller-Rabin with the witness set 2..37 is proven correct
-# strictly below this bound.
+# strictly below this bound; it is itself a strong pseudoprime to every
+# one of those bases.
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-
-_EXTENDED_WITNESSES = tuple(
-    p for p in range(2, 230) if all(p % q for q in range(2, p))
-)
 
 
 def _miller_rabin(n: int, bases) -> bool:
@@ -73,12 +75,72 @@ def _miller_rabin(n: int, bases) -> bool:
     return True
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a / n) for odd n > 0."""
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters.
+
+    n must be odd, above 1 and not a perfect square (else the search
+    for D need not end).  Method A: D is the first of 5, -7, 9, -11, ...
+    with (D / n) = -1, P = 1 and Q = (1 - D) / 4.  With n + 1 = d * 2^s,
+    n passes when n divides U_d or one of V_d, V_2d, ..., V_(d*2^(s-1)).
+    Every prime passes (Baillie and Wagstaff, Math. Comp. 35 (1980)).
+    """
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            # D shares a factor with n: n is prime only as |D| itself
+            return n == abs(D)
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # Lucas chain over the bits of d for (V_k, V_(k+1), Q^k), with
+    # V_2k = V_k^2 - 2Q^k and V_(2k+1) = V_k V_(k+1) - Q^k as P = 1
+    v, w, qk = 2, 1, 1
+    for bit in bin(d)[2:]:
+        if bit == "1":
+            v, w, qk = (v * w - qk) % n, (w * w - 2 * qk * Q) % n, qk * qk * Q % n
+        else:
+            v, w, qk = (v * v - 2 * qk) % n, (v * w - qk) % n, qk * qk % n
+    # D * U_d = 2 V_(d+1) - V_d, and D is prime to n
+    if v == 0 or (2 * w - v) % n == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
 @lru_cache(maxsize=65536)
 def is_prime(n: int) -> bool:
     """Primality test.
 
-    Deterministic for n below ~3.3e24; for larger n a fixed extended
-    witness set is used, which is a (very strong) probable-prime test.
+    A proof below 3.3e24 (Miller-Rabin to the prime bases up to 37).
+    From there up, "prime" means a BPSW probable prime: not a perfect
+    square, a strong probable prime to base 2 and a strong Lucas
+    probable prime (Baillie and Wagstaff 1980).  No composite is known
+    to pass BPSW, but that is not a proof.
     """
     if n < 2:
         return False
@@ -89,7 +151,8 @@ def is_prime(n: int) -> bool:
             return False
     if n < _MR_DETERMINISTIC_BOUND:
         return _miller_rabin(n, _SMALL_PRIMES)
-    return _miller_rabin(n, _EXTENDED_WITNESSES)
+    r = math.isqrt(n)
+    return r * r != n and _miller_rabin(n, (2,)) and _strong_lucas(n)
 
 
 def vp(n: int, p: int):
@@ -243,9 +306,16 @@ def _odd_primes_upto(n: int):
 # the odd primes up to sqrt(TRIAL_LIMIT), which sieve every block
 _SIEVING_PRIMES = _odd_primes_upto(math.isqrt(TRIAL_LIMIT))
 
-# _block_products[k] is the product of the primes of block k; the list
-# grows on first use, block by block, and is the only state kept
-_block_products = []
+# A block's prime product P, about 24k bits, is kept as pieces of
+# W = _PIECE_BITS bits, least significant first.  The gcd with n then
+# starts from sum(piece_j * (2^(W*j) mod n)), which is P mod n up to a
+# multiple of n, built from a few multiplications instead of the long
+# division of P by n that gcd(P, n) would start with.
+_PIECE_BITS = 4096
+
+# _block_pieces[k] holds the pieces of block k's product; the list grows
+# on first use, block by block, and is the only state kept
+_block_pieces = []
 
 
 def _block_primes(k: int):
@@ -271,13 +341,16 @@ def _block_primes(k: int):
     return [2] + primes if lo == 0 else primes
 
 
-def _block_product(k: int) -> int:
-    while len(_block_products) <= k:
-        xs = _block_primes(len(_block_products))
+def _pieces_of_block(k: int):
+    while len(_block_pieces) <= k:
+        xs = _block_primes(len(_block_pieces))
         while len(xs) > 1:  # pairwise rounds keep the operands balanced
             xs = list(map(operator.mul, xs[::2], xs[1::2])) + xs[len(xs) & ~1:]
-        _block_products.append(xs[0])
-    return _block_products[k]
+        mask = (1 << _PIECE_BITS) - 1
+        _block_pieces.append(tuple(
+            xs[0] >> i & mask for i in range(0, xs[0].bit_length(), _PIECE_BITS)
+        ))
+    return _block_pieces[k]
 
 
 def trial_division(n: int, bound: int):
@@ -286,8 +359,10 @@ def trial_division(n: int, bound: int):
     Trial division by gcds (Bernstein, "How to find small factors of
     integers"): one gcd of n with the product of the primes of a block
     finds every prime of that block dividing n, and only a block with a
-    gcd above 1 is split prime by prime.  The scan stops at the first
-    block whose start lo has lo > bound or lo*lo > n.
+    gcd above 1 is split prime by prime.  The gcd is taken with the sum
+    of the product's pieces times 2^(W*j) mod n, which is congruent to
+    the product mod n.  The scan stops at the first block whose start lo
+    has lo > bound or lo*lo > n.
 
     Returns (found, rest): `found` lists (p, e) with p^e exactly
     dividing n, in increasing p, and rest = n / prod(p^e).  No prime
@@ -295,11 +370,17 @@ def trial_division(n: int, bound: int):
     rest of at most min(bound, TRIAL_LIMIT)**2 is 1 or a prime.
     """
     found = []
+    shifts = []  # 2^(W*j) mod n for j = 0, 1, ..., rebuilt when n shrinks
     for k in range(_BLOCKS):
         lo = k * _BLOCK
         if lo > bound or lo * lo > n:
             break
-        g = math.gcd(_block_product(k), n)
+        pieces = _pieces_of_block(k)
+        if not shifts:
+            shifts = [1 % n, pow(2, _PIECE_BITS, n)]
+        while len(shifts) < len(pieces):
+            shifts.append(shifts[-1] * shifts[1] % n)
+        g = math.gcd(sum(map(operator.mul, pieces, shifts)), n)
         if g == 1:
             continue
         # g is a product of distinct primes of the block: divide it by
@@ -322,6 +403,7 @@ def trial_division(n: int, bound: int):
                 n //= p
                 e += 1
             found.append((p, e))
+        shifts = []
     return found, n
 
 
@@ -352,7 +434,7 @@ def _brent_rho(n: int, budget: int):
                 step = min(128, r - k)
                 for _ in range(step):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 budget -= step
                 g = math.gcd(q, n)
                 k += step
@@ -363,7 +445,7 @@ def _brent_rho(n: int, budget: int):
             y = ys
             while g == 1:
                 y = (y * y + c) % n
-                g = math.gcd(abs(x - y), n)
+                g = math.gcd(x - y, n)
                 budget -= 1
                 if budget <= 0:
                     break

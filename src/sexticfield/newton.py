@@ -47,7 +47,6 @@ class Edge:
 
 @dataclass(frozen=True)
 class NewtonPolygon:
-    p: int
     phi: Poly
     points: tuple  # (x, y) with y an int or +inf
     vertices: tuple  # subset of points forming the lower hull
@@ -130,7 +129,6 @@ def build_polygon(F: Poly, phi: Poly, p: int) -> NewtonPolygon:
         for (x0, y0), (x1, y1) in zip(vertices, vertices[1:])
     )
     return NewtonPolygon(
-        p=p,
         phi=phi,
         points=points,
         vertices=tuple(vertices),

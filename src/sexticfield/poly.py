@@ -140,9 +140,6 @@ class Poly:
                 rem[i + j] -= c * divisor.coeffs[j]
         return Poly(q), Poly(rem[:d])
 
-    def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs[1:], start=1)))
-
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"

@@ -5,14 +5,25 @@ the index by Newton polygons and certifies the bound when every residual
 polynomial, over F_{p^r} = F_p[x]/(phi mod p), is squarefree; the
 `REGULAR_ROUTE` cases are those it certifies.  `prime_exponent_profile`
 reads a glued basis back at one prime, and `discriminant` is the norm
-of F'(theta) from the Berkowitz kernel of `poly`.
+of F'(theta) (`derivative`) from the Berkowitz kernel of `poly`.
+`is_prime_by_witnesses` is the 50-base Miller-Rabin test that
+`exact.is_prime` ran above its deterministic bound before BPSW; the two
+must agree on every input drawn.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sexticfield.exact import InternalError, hnf, vp, vp_fraction
+from sexticfield.exact import (
+    _MR_DETERMINISTIC_BOUND,
+    _SMALL_PRIMES,
+    InternalError,
+    _miller_rabin,
+    hnf,
+    vp,
+    vp_fraction,
+)
 from sexticfield.newton import Edge, build_polygon
 from sexticfield.poly import (
     Poly,
@@ -29,6 +40,29 @@ from sexticfield.poly import (
     reduce_poly,
     residue_int,
 )
+
+
+# the 50 primes below 230
+EXTENDED_WITNESSES = tuple(
+    p for p in range(2, 230) if all(p % q for q in range(2, p))
+)
+
+
+def is_prime_by_witnesses(n: int) -> bool:
+    """`exact.is_prime` with Miller-Rabin to the 50 bases above the bound."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < _MR_DETERMINISTIC_BOUND:
+        return _miller_rabin(n, _SMALL_PRIMES)
+    return _miller_rabin(n, EXTENDED_WITNESSES)
+
+
+def derivative(F: Poly) -> Poly:
+    """The formal derivative F'."""
+    return Poly(tuple(i * c for i, c in enumerate(F.coeffs[1:], start=1)))
 
 
 class ExtField:
@@ -126,9 +160,9 @@ class ResidualPoly:
         return bool(d) and len(_ext_gcd(K, cs, d)) == 1
 
 
-def residual_polynomial(F: Poly, polygon, edge) -> ResidualPoly:
+def residual_polynomial(F: Poly, p: int, polygon, edge) -> ResidualPoly:
     """Monic residual polynomial attached to a positive-slope edge of the
-    polygon of F.
+    polygon of F at the prime p.
 
     Coefficient j (from the leading end) is the residue of
     digit(n - (x0 + e*j)) / p^(y0 + d*j) in F_p[x]/(phi mod p), and is
@@ -137,7 +171,6 @@ def residual_polynomial(F: Poly, polygon, edge) -> ResidualPoly:
     """
     if edge.slope <= 0:
         raise ValueError("residual polynomials only attach to positive edges")
-    p = polygon.p
     n = polygon.length
     r = polygon.phi.degree
     digits = phi_expansion(F, polygon.phi)
@@ -170,10 +203,10 @@ def residual_polynomial(F: Poly, polygon, edge) -> ResidualPoly:
     )
 
 
-def residual_polynomials(F: Poly, polygon):
-    """Residual polynomials of every positive edge of the polygon of F."""
+def residual_polynomials(F: Poly, p: int, polygon):
+    """Residual polynomials of every positive edge of the polygon of F at p."""
     return tuple(
-        residual_polynomial(F, polygon, e) for e in polygon.edges if e.slope > 0
+        residual_polynomial(F, p, polygon, e) for e in polygon.edges if e.slope > 0
     )
 
 
@@ -201,7 +234,7 @@ def ore_index(F: Poly, p: int, translations=()):
                     break
         polygon = build_polygon(F, lift, p)
         total += polygon.index_contribution()
-        for rp in residual_polynomials(F, polygon):
+        for rp in residual_polynomials(F, p, polygon):
             if not rp.is_squarefree():
                 attained = False
     return total, attained
@@ -265,5 +298,5 @@ def discriminant(F: Poly) -> int:
     n = F.degree
     if n < 1:
         raise ValueError("positive degree expected")
-    norm = (-1) ** n * char_poly_numerators(F.derivative(), 1, F)[n]
+    norm = (-1) ** n * char_poly_numerators(derivative(F), 1, F)[n]
     return (-1) ** (n * (n - 1) // 2) * norm

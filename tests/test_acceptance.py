@@ -127,7 +127,7 @@ def test_polygon_walkthroughs():
     G = Poly((620, 500, 150, 20, 1))  # (x + 5)^4 - 5
     ng = build_polygon(G, X, 2)
     assert [tuple(v) for v in ng.vertices] == [(0, 0), (4, 2)]
-    (rp,) = residual_polynomials(G, ng)
+    (rp,) = residual_polynomials(G, 2, ng)
     assert rp.coeffs == (1, 1, 1)  # Y^2 + Y + 1 over F_2
 
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracmat import mat_det
-from trialloop import factor_by_loop
+from oracles import is_prime_by_witnesses
+from trialloop import factor_by_loop, trial_division_by_blocks
 
 from sexticfield import cli, exact
 from sexticfield.exact import (
@@ -47,6 +48,76 @@ def test_is_prime_larger():
     # Carmichael numbers must not fool it
     for n in (561, 41041, 825265, 321197185):
         assert not is_prime(n)
+
+
+def test_is_prime_bpsw_at_the_bound():
+    # the strong pseudoprime to every base 2..37 sets the bound itself,
+    # so it is the first number that BPSW decides
+    n = 3317044064679887385961981
+    assert n == exact._MR_DETERMINISTIC_BOUND
+    assert exact._miller_rabin(n, exact._SMALL_PRIMES)
+    assert not exact._strong_lucas(n)
+    assert not is_prime(n)
+
+
+def test_strong_lucas_pseudoprimes():
+    # the first strong Lucas pseudoprimes under Selfridge's method A:
+    # the Lucas half passes them and the base-2 half catches each
+    for n in (5459, 5777, 10877, 16109, 18971):
+        assert exact._strong_lucas(n), n
+        assert not exact._miller_rabin(n, (2,)), n
+    for n in (5, 7, 11, 13, 10 ** 9 + 7, 2 ** 127 - 1):
+        assert exact._strong_lucas(n), n
+
+
+def test_is_prime_rejects_squares_above_the_bound():
+    bound = exact._MR_DETERMINISTIC_BOUND
+    above = next(q for q in range(bound + 2, bound + 10 ** 4, 2) if is_prime(q))
+    # 2_000_000_000_003 is a prime whose square lies above the bound
+    for p in (2_000_000_000_003, above, 2 ** 89 - 1, 2 ** 107 - 1):
+        assert is_prime(p)
+        assert not is_prime(p * p), p
+
+
+def _drawn_prime(rng, bits):
+    """The least prime above a random number of the given bit length."""
+    q = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+    while not is_prime_by_witnesses(q):
+        q += 2
+    return q
+
+
+def check_primality_agreement(count, seed):
+    """`is_prime` (BPSW above the bound) agrees with Miller-Rabin to the
+    50 prime bases below 230 on `count` seeded draws, a third each: odd
+    numbers from 2^82 to 2^400, semiprimes whose factors both exceed
+    2^41, and primes of 82 to 400 bits.  Returns how many draws were
+    prime.
+
+    CI runs a draw of 20,000 as a step of its own with
+
+        python -c "import sys; sys.path[:0] = ['tests'];
+                   from test_exact import check_primality_agreement;
+                   check_primality_agreement(20000, 1)"
+    """
+    rng = random.Random(seed)
+    primes = 0
+    for i in range(count):
+        if i % 3 == 0:
+            n = rng.randrange(2 ** 82, 2 ** 400) | 1
+        elif i % 3 == 1:
+            n = _drawn_prime(rng, rng.randrange(42, 201))
+            n *= _drawn_prime(rng, rng.randrange(42, 201))
+        else:
+            n = _drawn_prime(rng, rng.randrange(82, 401))
+        want = is_prime_by_witnesses(n)
+        assert is_prime(n) == want, n
+        primes += want
+    return primes
+
+
+def test_bpsw_agrees_with_fifty_witnesses():
+    assert check_primality_agreement(90, 13) >= 30
 
 
 def test_vp():
@@ -227,21 +298,61 @@ def test_trial_division_bound_and_leftover():
     assert math.prod(p ** e for p, e in found) * rest == 2 * 999_983
 
 
+def check_trial_division_agreement(count, seed):
+    """`trial_division` returns what the gcd scan over whole block
+    products returns, at every bound in 13, 16383, 16384 and 10^6, on
+    fixed edge cases and on `count` seeded draws of n with 60 to 2000
+    bits: a random number times a few primes below 1.1 * 10^6 to random
+    powers.
+
+    CI runs a draw of 20,000 as a step of its own with
+
+        python -c "import sys; sys.path[:0] = ['tests'];
+                   from test_exact import check_trial_division_agreement;
+                   check_trial_division_agreement(20000, 1)"
+    """
+    first_of_last = next(
+        q for q in range((exact._BLOCKS - 1) * exact._BLOCK, exact.TRIAL_LIMIT)
+        if is_prime(q)
+    )
+    cases = [1, 2, 3, 16381, 2 * 16381, 999_983, first_of_last,
+             2 * 999_983, first_of_last * 999_983 ** 3]
+    rng = random.Random(seed)
+    for _ in range(count):
+        bits = rng.randrange(60, 2001)
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        for _ in range(rng.randrange(4)):
+            start = rng.randrange(2, 1_100_000)
+            q = next(q for q in itertools.count(start) if is_prime(q))
+            n *= q ** rng.randrange(1, 4)
+        cases.append(n)
+    for n in cases:
+        for bound in (13, 16383, 16384, 10 ** 6):
+            want = trial_division_by_blocks(n, bound)
+            assert exact.trial_division(n, bound) == want, (n, bound)
+
+
+def test_trial_division_agrees_with_the_block_scan():
+    check_trial_division_agreement(40, 13)
+
+
 def test_block_products_are_built_lazily(monkeypatch, capsys):
-    monkeypatch.setattr(exact, "_block_products", [])
+    monkeypatch.setattr(exact, "_block_pieces", [])
     # the worked example (0, 12) has D = -2^16 * 3^11
     assert cli.run(["--a", "0", "--b", "12", "--json"]) == 0
     capsys.readouterr()
-    assert len(exact._block_products) == 1
+    assert len(exact._block_pieces) == 1
     factor(999_983 * 1_000_003)
-    assert len(exact._block_products) == exact._BLOCKS
+    assert len(exact._block_pieces) == exact._BLOCKS
     primes = [p for k in range(exact._BLOCKS) for p in exact._block_primes(k)]
     assert len(primes) == 78498  # pi(10^6)
     assert primes[-1] == 999_983
-    assert all(
-        math.prod(exact._block_primes(k)) == exact._block_products[k]
-        for k in (0, 1, exact._BLOCKS - 1)
-    )
+    for k in range(exact._BLOCKS):
+        pieces = exact._block_pieces[k]
+        assert all(0 <= x < 2 ** exact._PIECE_BITS for x in pieces)
+        assert sum(x << exact._PIECE_BITS * j for j, x in enumerate(pieces)) == (
+            math.prod(exact._block_primes(k))
+        )
 
 
 def test_hnf_identity_lattice():

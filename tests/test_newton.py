@@ -39,7 +39,7 @@ def test_polygon_quadratic_base_example():
     assert [e.slope for e in ng.edges] == [Fraction(1, 2), Fraction(1)]
     assert ng.index_contribution() == 2
     # both residual polynomials are linear, hence squarefree
-    residuals = residual_polynomials(F, ng)
+    residuals = residual_polynomials(F, 3, ng)
     assert [rp.degree for rp in residuals] == [1, 1]
     assert all(rp.is_squarefree() for rp in residuals)
     assert ore_index(F, 3)[1]
@@ -58,7 +58,7 @@ def test_polygon_tiebreak_takes_farthest_point():
         (4, 2),
     ]
     assert [tuple(v) for v in ng.vertices] == [(0, 0), (4, 2)]
-    (rp,) = residual_polynomials(F, ng)
+    (rp,) = residual_polynomials(F, 2, ng)
     assert rp.modulus == ()
     assert rp.coeffs == (1, 1, 1)  # Y^2 + Y + 1 over F_2
     assert rp.is_squarefree()
@@ -87,7 +87,7 @@ def test_residual_zero_slope_rejected():
     flat = [e for e in ng.edges if e.slope == 0]
     assert flat and flat[0].x1 == 1
     with pytest.raises(ValueError):
-        residual_polynomial(F, ng, flat[0])
+        residual_polynomial(F, 2, ng, flat[0])
 
 
 def test_build_polygon_errors():
@@ -112,7 +112,7 @@ def test_ore_index_pinned_pure_sextics():
     assert not attained
     _, facs = factor_mod_p(f, 2)
     assert facs == (((0, 1), 6),)
-    (rp,) = residual_polynomials(f, build_polygon(f, X, 2))
+    (rp,) = residual_polynomials(f, 2, build_polygon(f, X, 2))
     assert rp.coeffs == (1, 0, 1)
     assert not rp.is_squarefree()
 

@@ -1,19 +1,64 @@
-"""The factorizer's former trial stage, a d += 2 loop to 10^6, for tests only.
+"""The factorizer's former trial stages, for tests only.
 
-`factor_by_loop` is `exact.factor` with that loop in place of the gcd
-trial division over prime blocks.  The rest (the leftover rule, perfect
-powers, budgeted rho) is the same code calling the package's own
-helpers, so the two must return the same factorization.
+`factor_by_loop` is `exact.factor` with a d += 2 loop to 10^6 in place
+of the gcd trial division over prime blocks.  The rest (the leftover
+rule, perfect powers, budgeted rho) is the same code calling the
+package's own helpers, so the two must return the same factorization.
+
+`trial_division_by_blocks` is `exact.trial_division` as it was before
+the block products were cut into pieces: one gcd of n with each whole
+block product.  It must return the same (found, rest) for every n and
+bound.
 """
 
+import math
+from functools import lru_cache
+
 from sexticfield.exact import (
+    _BLOCK,
+    _BLOCKS,
     FACTOR_BUDGET,
     TRIAL_LIMIT,
     PrimeFactorization,
+    _block_primes,
     _brent_rho,
     _perfect_power,
     is_prime,
 )
+
+
+@lru_cache(maxsize=None)
+def _block_product(k: int) -> int:
+    return math.prod(_block_primes(k))
+
+
+def trial_division_by_blocks(n: int, bound: int):
+    found = []
+    for k in range(_BLOCKS):
+        lo = k * _BLOCK
+        if lo > bound or lo * lo > n:
+            break
+        g = math.gcd(_block_product(k), n)
+        if g == 1:
+            continue
+        hits = []
+        d = 2 if lo == 0 else lo + 1
+        while d * d <= g:
+            if g % d == 0:
+                hits.append(d)
+                g //= d
+            d += 1 if d == 2 else 2
+        if g > 1:
+            hits.append(g)
+        for p in hits:
+            if p > bound:
+                break
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            found.append((p, e))
+    return found, n
 
 
 def factor_by_loop(n: int, budget: int = FACTOR_BUDGET) -> PrimeFactorization:
