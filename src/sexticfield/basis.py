@@ -119,7 +119,6 @@ def combine(p_bases, D: int) -> IntegralBasis:
 class Assembly:
     """Everything the pipeline learned about one field."""
 
-    field: TrinomialField
     discriminant_factors: PrimeFactorization
     per_prime: tuple
     basis: IntegralBasis
@@ -182,7 +181,6 @@ def assemble(field: TrinomialField, factor_budget: int = FACTOR_BUDGET) -> Assem
         )
     per = tuple(p_integral_basis(p, field) for p, _ in pf.factors)
     return Assembly(
-        field=field,
         discriminant_factors=pf,
         per_prime=per,
         basis=combine(per, D),

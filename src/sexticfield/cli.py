@@ -28,7 +28,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .basis import assemble, combine
-from .exact import FACTOR_BUDGET, INF, InternalError, floor_root, is_prime, vp
+from .exact import FACTOR_BUDGET, INF, InternalError, floor_root, is_prime
 from .newton import build_polygon
 from .poly import Poly, X, is_integral
 from .sextic import (
@@ -186,14 +186,7 @@ def _prime_entry(pb, f: Poly, explain: bool):
         "v_dK": _s(pb.v_dK),
         "k": [_s(k) for k in pb.k],
         "params": _params_dict(pb.params),
-        "basis": {
-            "rows": [[_s(c) for c in row] for row in pb.rows],
-            "denominators": [_s(pb.p ** k) for k in pb.k],
-            "elements": [
-                _render_element(row + (1,), pb.p ** k)
-                for row, k in zip(pb.rows, pb.k)
-            ],
-        },
+        "basis": _basis_dict(pb.rows, [pb.p ** k for k in pb.k]),
     }
     if explain:
         lines = [f"v_{pb.p}(D) = {pb.v_D}", f"v_{pb.p}(d_K) = {pb.v_dK}",
@@ -216,13 +209,12 @@ def _prime_entry(pb, f: Poly, explain: bool):
     return entry
 
 
-def _basis_dict(basis):
+def _basis_dict(rows, denominators):
     return {
-        "rows": [[_s(c) for c in row] for row in basis.rows],
-        "denominators": [_s(t) for t in basis.denominators],
+        "rows": [[_s(c) for c in row] for row in rows],
+        "denominators": [_s(t) for t in denominators],
         "elements": [
-            _render_element(row + (1,), t)
-            for row, t in zip(basis.rows, basis.denominators)
+            _render_element(row + (1,), t) for row, t in zip(rows, denominators)
         ],
     }
 
@@ -313,7 +305,7 @@ def _execute(args):
         basis = combine([pb], field.D)
         report["discriminant"] = {"value": _s(field.D), "factors": None}
         report["primes"] = [_prime_entry(pb, f, args.explain)]
-        report["integral_basis"] = _basis_dict(basis)
+        report["integral_basis"] = _basis_dict(basis.rows, basis.denominators)
         report["index"] = _s(basis.index)
         warnings.append(
             f"restricted to p = {p}: index is the local contribution and "
@@ -334,20 +326,15 @@ def _execute(args):
         report["primes"] = [
             _prime_entry(pb, f, args.explain) for pb in assembly.per_prime
         ]
-        report["integral_basis"] = _basis_dict(basis)
+        report["integral_basis"] = _basis_dict(basis.rows, basis.denominators)
         report["index"] = _s(basis.index)
-        dk_entry = {"d_K": _s(d_K)}
-        if pf.complete:
-            dk_factors = []
-            for p, e in pf.factors:
-                rem = e - 2 * vp(basis.index, p)
-                if rem:
-                    dk_factors.append((p, rem))
-            dk_entry["factors"] = _factors_list(dk_factors)
-        else:
-            dk_entry["factors"] = None
-        report["field_discriminant"] = dk_entry
         per_prime = assembly.per_prime
+        # per_prime follows pf.factors, so these are d_K's primes in order
+        report["field_discriminant"] = {
+            "d_K": _s(d_K),
+            "factors": _factors_list((pb.p, pb.v_dK) for pb in per_prime if pb.v_dK)
+            if pf.complete else None,
+        }
 
     if args.pure:
         if field.a != 0:
@@ -392,7 +379,7 @@ def _execute(args):
         )
         for pb in per_prime:
             p = pb.p
-            if vp(field.D, p) <= 1:
+            if pb.v_D <= 1:
                 # D = [O_K : Z[theta]]^2 * d_K, so p is prime to the index
                 # of Z[theta]: every order containing Z[theta] is
                 # p-maximal and Dedekind's criterion holds at p

@@ -20,7 +20,7 @@ data into concrete objects:
 
 Each table row is
 
-    (label, predicate, exact v_p(D) or None, v_p(d_K), k, rows)
+    (label, predicate, v_p(d_K), k, rows)
 
 `predicate` reads the local data of (a, b) at p: the valuations va, vb,
 vD and the residues its block needs.  `k` is the exponent vector of the
@@ -28,18 +28,20 @@ triangular basis template
 
     alpha_i = (c_i0 + c_i1*theta + ... + theta^i) / p^k_i ;
 
-a final None marks a deep row, whose exponent follows from the index
-relation 2*sum(k) + v_p(d_K) = v_p(D).  `rows` maps i to c_i0 .. c_i,i-1
-for the rows other than theta^i.  For the cases whose rows or parameters
-depend on (a, b) it is a builder (local data, k) -> (rows, params)
-instead; the parameters are translation points, solutions of linear
-congruences and unit signs.
+a final None marks a deep row.  The paper's v_p(D) is not stored: the
+index relation D = [O_K : Z[theta]]^2 * d_K gives
+2*sum(k) + v_p(d_K) = v_p(D), which fixes the last exponent of a deep
+row and is checked for every other row.  `rows` maps i to
+c_i0 .. c_i,i-1 for the rows other than theta^i.  For the cases whose
+rows or parameters depend on (a, b) it is a builder
+(local data, k) -> (rows, params) instead; the parameters are
+translation points, solutions of linear congruences and unit signs.
 
 One evaluator, `p_integral_basis`, runs all four tables.  It computes the
 local data once and insists on exactly one matching predicate.  It
-checks the exact v_p(D), the index relation and that k is monotone, and
-only then calls the row's builder.  Any violation raises InternalError
-rather than guessing.
+checks the index relation and that k is monotone, and only then calls
+the row's builder.  Any violation raises InternalError rather than
+guessing.
 """
 
 from __future__ import annotations
@@ -206,11 +208,11 @@ class PAdicBasis:
     """Triangular p-integral basis (c_i0 + ... + theta^i)/p^k_i.
 
     `rows` holds six coefficient tuples of lengths 0..5, already reduced
-    to the canonical range 0 <= c_ij < p^(k_i - k_j).  `v_D` and `v_dK`
-    are the case's claimed valuations; they satisfy
-    2*sum(k) + v_dK == v_D by construction.  `params` is a read-only
-    mapping holding only the names the case sets (see the row builders),
-    in a fixed order.
+    to the canonical range 0 <= c_ij < p^(k_i - k_j).  `v_D` is v_p(D)
+    and `v_dK` the case's v_p(d_K); `p_integral_basis` checks
+    2*sum(k) + v_dK == v_D before it builds the rows.  `params` is a
+    read-only mapping holding only the names the case sets (see the row
+    builders), in a fixed order.
     """
 
     p: int
@@ -297,10 +299,11 @@ def _beta(c):
 
 
 def _beta_residue(c, k5, shift=0):
-    # least x >= 0 with (5a*x + 6b)/p = shift mod p^k5; the deep rows at
-    # p = 2, 3, 5 have v_p(5a) = 1 and p | 6b, so shift = 0 gives beta
-    # reduced mod p^k5
-    return solve_linear_congruence(5 * c.a // c.p, 6 * c.b // c.p - shift, c.p ** k5)
+    # least x >= 0 with 5a*x + 6b - g*shift = 0 mod g*p^k5, g = gcd(5a, p);
+    # the deep rows have v_p(5a) = 1 at p = 2, 3, 5 and p prime to 5a
+    # above, so shift = 0 gives beta reduced mod p^k5
+    g = math.gcd(5 * c.a, c.p)
+    return solve_linear_congruence(5 * c.a, 6 * c.b - g * shift, g * c.p ** k5)
 
 
 def _e13(c, k):
@@ -391,156 +394,147 @@ def _g7(c, k):
 
 
 def _h_deep(c, k):
-    # one deep row whose five coefficients solve, mod p^m,
-    #   6x = 5a, (5a)^4 y = (6b)^4, (5a)^3 z = -(6b)^3,
-    #   (5a)^2 v = (6b)^2, 5a w = -6b.
+    # the quintic row at beta = -6b/(5a): f'(beta) = D/(5a)^5, so
+    # beta^5 = -a/6 mod p^vD and the row's constant -5*beta^5 is 5a/6
     m = k[5]
-    mod = c.p ** m
-    A5, B6 = 5 * c.a, 6 * c.b
-    x = solve_linear_congruence(6, -A5, mod)
-    y = solve_linear_congruence(A5 ** 4, -(B6 ** 4), mod)
-    z = solve_linear_congruence(A5 ** 3, B6 ** 3, mod)
-    v = solve_linear_congruence(A5 ** 2, -(B6 ** 2), mod)
-    w = solve_linear_congruence(A5, B6, mod)
-    return {5: (x, y, z, v, w)}, _params(beta=_beta(c), m=m, row_solution=(x, y, z, v, w))
+    row = tuple(r % c.p ** m for r in _quintic_row(_beta_residue(c, m)))
+    return {5: row}, _params(beta=_beta(c), m=m, row_solution=row)
 
 
 # ---------------------------------------------------------------------------
-# the tables: (label, predicate, exact v_p(D) or None, v_p(d_K), k, rows)
+# the tables: (label, predicate, v_p(d_K), k, rows); v_p(D) = 2*sum(k) + v_p(d_K)
 
 _DEEP_K = (0, 0, 0, 0, 0, None)
 _DEEP_K4 = (0, 0, 0, 0, 1, None)
 
 _TABLE_2 = (
-    ("E1", lambda c: c.va == 0, 0, 0, _ZERO_K, {}),
-    ("E2", lambda c: c.vb == 1 and c.va == 1, 6, 6, _ZERO_K, {}),
-    ("E3", lambda c: c.vb == 1 and c.va >= 2, 11, 11, _ZERO_K, {}),
-    ("E4", lambda c: c.vb >= 2 and c.va == 1, 6, 4, (0, 0, 0, 0, 0, 1), {}),
-    ("E5", lambda c: c.vb >= 3 and c.va == 2, 12, 4, (0, 0, 0, 1, 1, 2), {}),
-    ("E6", lambda c: c.vb == 3 and c.va == 3, 18, 6, (0, 0, 1, 1, 2, 2), {}),
-    ("E7", lambda c: c.vb == 3 and c.va >= 4, 21, 9, (0, 0, 1, 1, 2, 2), {}),
-    ("E8", lambda c: c.vb >= 4 and c.va == 3, 18, 4, (0, 0, 1, 1, 2, 3), {}),
-    ("E9", lambda c: c.vb >= 5 and c.va == 4, 24, 4, (0, 0, 1, 2, 3, 4), {}),
-    ("E10", lambda c: c.vb == 5 and c.va == 5, 30, 10, (0, 0, 1, 2, 3, 4), {}),
-    ("E11", lambda c: c.vb == 5 and c.va >= 6, 31, 11, (0, 0, 1, 2, 3, 4), {}),
-    ("E12", lambda c: c.va == 1 and c.b4 == 3, 7, 7, _ZERO_K, {}),
-    ("E13", lambda c: c.va == 1 and c.b4 == 1 and c.vD % 2 == 1, None, 7, _DEEP_K, _e13),
+    ("E1", lambda c: c.va == 0, 0, _ZERO_K, {}),
+    ("E2", lambda c: c.vb == 1 and c.va == 1, 6, _ZERO_K, {}),
+    ("E3", lambda c: c.vb == 1 and c.va >= 2, 11, _ZERO_K, {}),
+    ("E4", lambda c: c.vb >= 2 and c.va == 1, 4, (0, 0, 0, 0, 0, 1), {}),
+    ("E5", lambda c: c.vb >= 3 and c.va == 2, 4, (0, 0, 0, 1, 1, 2), {}),
+    ("E6", lambda c: c.vb == 3 and c.va == 3, 6, (0, 0, 1, 1, 2, 2), {}),
+    ("E7", lambda c: c.vb == 3 and c.va >= 4, 9, (0, 0, 1, 1, 2, 2), {}),
+    ("E8", lambda c: c.vb >= 4 and c.va == 3, 4, (0, 0, 1, 1, 2, 3), {}),
+    ("E9", lambda c: c.vb >= 5 and c.va == 4, 4, (0, 0, 1, 2, 3, 4), {}),
+    ("E10", lambda c: c.vb == 5 and c.va == 5, 10, (0, 0, 1, 2, 3, 4), {}),
+    ("E11", lambda c: c.vb == 5 and c.va >= 6, 11, (0, 0, 1, 2, 3, 4), {}),
+    ("E12", lambda c: c.va == 1 and c.b4 == 3, 7, _ZERO_K, {}),
+    ("E13", lambda c: c.va == 1 and c.b4 == 1 and c.vD % 2 == 1, 7, _DEEP_K, _e13),
     # D2 mod 4 detects how far the dyadic double root refines: residue 3
     # forces v2(f(delta)) >= 2u+2 (row denominator 2^(u+1) works), while
     # residue 1 caps v2(f(delta)) at 2u+1 (denominator only 2^u).
     ("E14", lambda c: c.va == 1 and c.b4 == 1 and c.vD % 2 == 0 and c.D2 % 4 == 3,
-     None, 4, _DEEP_K, _e14),
+     4, _DEEP_K, _e14),
     ("E15", lambda c: c.va == 1 and c.b4 == 1 and c.vD % 2 == 0 and c.D2 % 4 == 1,
-     None, 6, _DEEP_K, _e15),
-    ("E16", lambda c: c.va >= 2 and c.b4 == 1, 6, 6, _ZERO_K, {}),
-    ("E17", lambda c: c.va >= 2 and c.b4 == 3, 6, 0, (0, 0, 0, 1, 1, 1),
+     6, _DEEP_K, _e15),
+    ("E16", lambda c: c.va >= 2 and c.b4 == 1, 6, _ZERO_K, {}),
+    ("E17", lambda c: c.va >= 2 and c.b4 == 3, 0, (0, 0, 0, 1, 1, 1),
      {3: (1, 0, 0), 4: (0, 1, 0, 0), 5: (0, 0, 1, 0, 0)}),
-    ("E18", lambda c: c.vb == 2 and c.va == 2, 12, 6, (0, 0, 0, 1, 1, 1), {}),
-    ("E19", lambda c: c.vb == 2 and c.va == 3 and c.bq == 3, 16, 6, (0, 0, 0, 1, 2, 2),
+    ("E18", lambda c: c.vb == 2 and c.va == 2, 6, (0, 0, 0, 1, 1, 1), {}),
+    ("E19", lambda c: c.vb == 2 and c.va == 3 and c.bq == 3, 6, (0, 0, 0, 1, 2, 2),
      {4: (0, 2, 0, 0), 5: (0, 0, 2, 0, 0)}),
-    ("E20", lambda c: c.vb == 2 and c.va >= 4 and c.bq == 3, 16, 4, (0, 0, 0, 2, 2, 2),
+    ("E20", lambda c: c.vb == 2 and c.va >= 4 and c.bq == 3, 4, (0, 0, 0, 2, 2, 2),
      {3: (2, 0, 0), 4: (0, 2, 0, 0), 5: (0, 0, 2, 0, 0)}),
-    ("E21", lambda c: c.vb == 2 and c.va >= 3 and c.bq == 1, 16, 8, (0, 0, 0, 1, 1, 2),
+    ("E21", lambda c: c.vb == 2 and c.va >= 3 and c.bq == 1, 8, (0, 0, 0, 1, 1, 2),
      {5: (0, 0, 2, 0, 0)}),
-    ("E22", lambda c: c.vb == 4 and c.va == 4 and c.bs == 1, 24, 4, (0, 0, 1, 2, 3, 4),
+    ("E22", lambda c: c.vb == 4 and c.va == 4 and c.bs == 1, 4, (0, 0, 1, 2, 3, 4),
      {4: (0, 4, 0, 0), 5: (0, 8, 4, 0, 0)}),
-    ("E23", lambda c: c.vb == 4 and c.va == 4 and c.bs == 3, 24, 6, (0, 0, 1, 2, 3, 3),
+    ("E23", lambda c: c.vb == 4 and c.va == 4 and c.bs == 3, 6, (0, 0, 1, 2, 3, 3),
      {4: (0, 4, 0, 0), 5: (0, 0, 4, 0, 0)}),
-    ("E24", lambda c: c.vb == 4 and c.va == 5 and c.bs == 3, 26, 6, (0, 0, 1, 2, 3, 4),
+    ("E24", lambda c: c.vb == 4 and c.va == 5 and c.bs == 3, 6, (0, 0, 1, 2, 3, 4),
      {4: (0, 4, 0, 0), 5: (0, 0, 4, 0, 0)}),
-    ("E25", lambda c: c.vb == 4 and c.va >= 6 and c.bs == 3, 26, 4, (0, 0, 1, 3, 3, 4),
+    ("E25", lambda c: c.vb == 4 and c.va >= 6 and c.bs == 3, 4, (0, 0, 1, 3, 3, 4),
      {3: (4, 0, 0), 4: (0, 4, 0, 0), 5: (0, 0, 4, 0, 0)}),
-    ("E26", lambda c: c.vb == 4 and c.va >= 5 and c.bs == 1, 26, 8, (0, 0, 1, 2, 3, 3),
+    ("E26", lambda c: c.vb == 4 and c.va >= 5 and c.bs == 1, 8, (0, 0, 1, 2, 3, 3),
      {4: (0, 4, 0, 0)}),
 )
 
 _TABLE_3 = (
-    ("F1", lambda c: c.va == 0, 0, 0, _ZERO_K, {}),
-    ("F2", lambda c: c.vb == 1 and c.va == 1, 6, 6, _ZERO_K, {}),
-    ("F3", lambda c: c.vb == 1 and c.va >= 2, 11, 11, _ZERO_K, {}),
-    ("F4", lambda c: c.vb >= 2 and c.va == 1, 6, 4, (0, 0, 0, 0, 0, 1), {}),
-    ("F5", lambda c: c.vb == 2 and c.va == 2, 12, 6, (0, 0, 0, 1, 1, 1), {}),
-    ("F6", lambda c: c.vb == 2 and c.va >= 3, 16, 10, (0, 0, 0, 1, 1, 1), {}),
-    ("F7", lambda c: c.vb >= 3 and c.va == 2, 12, 4, (0, 0, 0, 1, 1, 2), {}),
-    ("F8", lambda c: c.vb >= 4 and c.va == 3, 18, 4, (0, 0, 1, 1, 2, 3), {}),
-    ("F9", lambda c: c.vb == 4 and c.va == 4, 24, 8, (0, 0, 1, 2, 2, 3), {}),
-    ("F10", lambda c: c.vb == 4 and c.va >= 5, 26, 10, (0, 0, 1, 2, 2, 3), {}),
-    ("F11", lambda c: c.vb >= 5 and c.va == 4, 24, 4, (0, 0, 1, 2, 3, 4), {}),
-    ("F12", lambda c: c.vb == 5 and c.va == 5, 30, 10, (0, 0, 1, 2, 3, 4), {}),
-    ("F13", lambda c: c.vb == 5 and c.va >= 6, 31, 11, (0, 0, 1, 2, 3, 4), {}),
-    ("F14", lambda c: c.va == 1 and c.b3 == 1, 6, 6, _ZERO_K, {}),
-    ("F15", lambda c: c.va >= 2 and c.vb == 0 and c.b9 in (4, 7), 6, 6, _ZERO_K, {}),
-    ("F16", lambda c: c.va >= 2 and c.vb == 0 and c.b9 == 1, 6, 2, (0, 0, 0, 0, 1, 1),
+    ("F1", lambda c: c.va == 0, 0, _ZERO_K, {}),
+    ("F2", lambda c: c.vb == 1 and c.va == 1, 6, _ZERO_K, {}),
+    ("F3", lambda c: c.vb == 1 and c.va >= 2, 11, _ZERO_K, {}),
+    ("F4", lambda c: c.vb >= 2 and c.va == 1, 4, (0, 0, 0, 0, 0, 1), {}),
+    ("F5", lambda c: c.vb == 2 and c.va == 2, 6, (0, 0, 0, 1, 1, 1), {}),
+    ("F6", lambda c: c.vb == 2 and c.va >= 3, 10, (0, 0, 0, 1, 1, 1), {}),
+    ("F7", lambda c: c.vb >= 3 and c.va == 2, 4, (0, 0, 0, 1, 1, 2), {}),
+    ("F8", lambda c: c.vb >= 4 and c.va == 3, 4, (0, 0, 1, 1, 2, 3), {}),
+    ("F9", lambda c: c.vb == 4 and c.va == 4, 8, (0, 0, 1, 2, 2, 3), {}),
+    ("F10", lambda c: c.vb == 4 and c.va >= 5, 10, (0, 0, 1, 2, 2, 3), {}),
+    ("F11", lambda c: c.vb >= 5 and c.va == 4, 4, (0, 0, 1, 2, 3, 4), {}),
+    ("F12", lambda c: c.vb == 5 and c.va == 5, 10, (0, 0, 1, 2, 3, 4), {}),
+    ("F13", lambda c: c.vb == 5 and c.va >= 6, 11, (0, 0, 1, 2, 3, 4), {}),
+    ("F14", lambda c: c.va == 1 and c.b9 % 3 == 1, 6, _ZERO_K, {}),
+    ("F15", lambda c: c.va >= 2 and c.vb == 0 and c.b9 in (4, 7), 6, _ZERO_K, {}),
+    ("F16", lambda c: c.va >= 2 and c.vb == 0 and c.b9 == 1, 2, (0, 0, 0, 0, 1, 1),
      {4: (1, 0, -1, 0), 5: (0, 1, 0, -1, 0)}),
-    ("F17", lambda c: c.va >= 2 and c.vb == 0 and c.b9 in (2, 5), 6, 6, _ZERO_K, {}),
-    ("F18", lambda c: c.va >= 2 and c.vb == 0 and c.b9 == 8, 6, 2, (0, 0, 0, 0, 1, 1),
+    ("F17", lambda c: c.va >= 2 and c.vb == 0 and c.b9 in (2, 5), 6, _ZERO_K, {}),
+    ("F18", lambda c: c.va >= 2 and c.vb == 0 and c.b9 == 8, 2, (0, 0, 0, 0, 1, 1),
      {4: (1, 0, 1, 0), 5: (0, 1, 0, 1, 0)}),
     # unit sign: -1 when a = 3 (mod 9), +1 when a = -3 (mod 9)
-    ("F19", lambda c: c.va == 1 and c.b9 == 2, 7, 5, (0, 0, 0, 0, 0, 1),
+    ("F19", lambda c: c.va == 1 and c.b9 == 2, 5, (0, 0, 0, 0, 0, 1),
      lambda c, k: _unit_sign_row(-1 if c.a % 9 == 3 else 1)),
-    ("F20", lambda c: c.va == 1 and c.b9 == 8, 7, 7, _ZERO_K, {}),
+    ("F20", lambda c: c.va == 1 and c.b9 == 8, 7, _ZERO_K, {}),
     # unit sign: -1 when a = -3 (mod 9), +1 when a = 3 (mod 9)
-    ("F21", lambda c: c.va == 1 and c.b9 == 5 and c.vD == 8, None, 6, (0, 0, 0, 0, 0, 1),
+    ("F21", lambda c: c.va == 1 and c.b9 == 5 and c.vD == 8, 6, (0, 0, 0, 0, 0, 1),
      lambda c, k: _unit_sign_row(-1 if c.a % 9 == 6 else 1)),
-    ("F22", lambda c: c.va == 1 and c.b9 == 5 and c.vD == 9, None, 3, (0, 0, 0, 0, 1, 2),
-     _f22),
+    ("F22", lambda c: c.va == 1 and c.b9 == 5 and c.vD == 9, 3, (0, 0, 0, 0, 1, 2), _f22),
     ("F23", lambda c: c.va == 1 and c.b9 == 5 and c.vD >= 10 and c.vD % 2 == 0,
-     None, 4, _DEEP_K4, _f23),
+     4, _DEEP_K4, _f23),
     ("F24", lambda c: c.va == 1 and c.b9 == 5 and c.vD >= 11 and c.vD % 2 == 1,
-     None, 3, _DEEP_K4, _f24),
-    ("F25", lambda c: c.vb == 3 and c.va == 3, 18, 6, (0, 0, 1, 1, 2, 2), {}),
-    ("F26", lambda c: c.vb == 3 and c.va >= 4 and c.vBB == 1, 21, 7, (0, 0, 1, 1, 2, 3),
-     _f26),
+     3, _DEEP_K4, _f24),
+    ("F25", lambda c: c.vb == 3 and c.va == 3, 6, (0, 0, 1, 1, 2, 2), {}),
+    ("F26", lambda c: c.vb == 3 and c.va >= 4 and c.vBB == 1, 7, (0, 0, 1, 1, 2, 3), _f26),
     ("F27", lambda c: c.vb == 3 and c.va >= 4 and (c.vBB is not None and c.vBB >= 2),
-     21, 3, (0, 0, 1, 2, 3, 3), _f27),
+     3, (0, 0, 1, 2, 3, 3), _f27),
 )
 
 _TABLE_5 = (
-    ("G1", lambda c: c.vb == 0, 0, 0, _ZERO_K, {}),
+    ("G1", lambda c: c.vb == 0, 0, _ZERO_K, {}),
     ("G2", lambda c: c.vb == 1 and c.va == 0 and c.r0 == 1 and c.r1 == 1
-     and not c.square_match, 5, 5, _ZERO_K, _g_power),
+     and not c.square_match, 5, _ZERO_K, _g_power),
     ("G3", lambda c: c.vb == 1 and c.va == 0 and c.r0 == 1 and c.r1 == 1
-     and c.square_match, 6, 6, _ZERO_K, _g_power),
+     and c.square_match, 6, _ZERO_K, _g_power),
     ("G4", lambda c: c.vb == 1 and c.va == 0 and c.r0 >= 2 and c.r1 == 1,
-     5, 3, (0, 0, 0, 0, 0, 1), _g_quintic),
+     3, (0, 0, 0, 0, 0, 1), _g_quintic),
     ("G5", lambda c: c.vb == 1 and c.va == 0 and c.r0 == 1 and c.r1 >= 2,
-     5, 5, _ZERO_K, _g_power),
+     5, _ZERO_K, _g_power),
     ("G6", lambda c: c.vb == 1 and c.va == 0 and c.r0 >= 2 and c.r1 >= 2 and c.vD % 2 == 1,
-     None, 3, _DEEP_K4, _g6),
+     3, _DEEP_K4, _g6),
     ("G7", lambda c: c.vb == 1 and c.va == 0 and c.r0 >= 2 and c.r1 >= 2 and c.vD % 2 == 0,
-     None, 2, _DEEP_K4, _g7),
-    ("G8", lambda c: c.vb == 1 and c.va >= 1, 5, 5, _ZERO_K, {}),
-    ("G9", lambda c: c.vb >= 2 and c.va == 0 and c.a4 != 1, 5, 5, _ZERO_K, _g_power),
-    ("G10", lambda c: c.vb >= 2 and c.va == 0 and c.a4 == 1, 5, 3, (0, 0, 0, 0, 0, 1),
+     2, _DEEP_K4, _g7),
+    ("G8", lambda c: c.vb == 1 and c.va >= 1, 5, _ZERO_K, {}),
+    ("G9", lambda c: c.vb >= 2 and c.va == 0 and c.a4 != 1, 5, _ZERO_K, _g_power),
+    ("G10", lambda c: c.vb >= 2 and c.va == 0 and c.a4 == 1, 3, (0, 0, 0, 0, 0, 1),
      _g_quintic),
-    ("G11", lambda c: c.vb == 2 and c.va == 1, 10, 8, (0, 0, 0, 0, 0, 1), {}),
-    ("G12", lambda c: c.vb == 2 and c.va >= 2, 10, 4, (0, 0, 0, 1, 1, 1), {}),
-    ("G13", lambda c: c.vb >= 3 and c.va == 1, 11, 9, (0, 0, 0, 0, 0, 1), {}),
-    ("G14", lambda c: c.vb == 3 and c.va == 2, 15, 7, (0, 0, 0, 1, 1, 2), {}),
-    ("G15", lambda c: c.vb == 3 and c.va >= 3, 15, 3, (0, 0, 1, 1, 2, 2), {}),
-    ("G16", lambda c: c.vb >= 4 and c.va == 2, 17, 9, (0, 0, 0, 1, 1, 2), {}),
-    ("G17", lambda c: c.vb == 4 and c.va == 3, 20, 6, (0, 0, 1, 1, 2, 3), {}),
-    ("G18", lambda c: c.vb == 4 and c.va >= 4, 20, 4, (0, 0, 1, 2, 2, 3), {}),
-    ("G19", lambda c: c.vb >= 5 and c.va == 3, 23, 9, (0, 0, 1, 1, 2, 3), {}),
-    ("G20", lambda c: c.vb == 5 and c.va == 4, 25, 5, (0, 0, 1, 2, 3, 4), {}),
-    ("G21", lambda c: c.vb == 5 and c.va >= 5, 25, 5, (0, 0, 1, 2, 3, 4), {}),
-    ("G22", lambda c: c.vb >= 6 and c.va == 4, 29, 9, (0, 0, 1, 2, 3, 4), {}),
+    ("G11", lambda c: c.vb == 2 and c.va == 1, 8, (0, 0, 0, 0, 0, 1), {}),
+    ("G12", lambda c: c.vb == 2 and c.va >= 2, 4, (0, 0, 0, 1, 1, 1), {}),
+    ("G13", lambda c: c.vb >= 3 and c.va == 1, 9, (0, 0, 0, 0, 0, 1), {}),
+    ("G14", lambda c: c.vb == 3 and c.va == 2, 7, (0, 0, 0, 1, 1, 2), {}),
+    ("G15", lambda c: c.vb == 3 and c.va >= 3, 3, (0, 0, 1, 1, 2, 2), {}),
+    ("G16", lambda c: c.vb >= 4 and c.va == 2, 9, (0, 0, 0, 1, 1, 2), {}),
+    ("G17", lambda c: c.vb == 4 and c.va == 3, 6, (0, 0, 1, 1, 2, 3), {}),
+    ("G18", lambda c: c.vb == 4 and c.va >= 4, 4, (0, 0, 1, 2, 2, 3), {}),
+    ("G19", lambda c: c.vb >= 5 and c.va == 3, 9, (0, 0, 1, 1, 2, 3), {}),
+    ("G20", lambda c: c.vb == 5 and c.va == 4, 5, (0, 0, 1, 2, 3, 4), {}),
+    ("G21", lambda c: c.vb == 5 and c.va >= 5, 5, (0, 0, 1, 2, 3, 4), {}),
+    ("G22", lambda c: c.vb >= 6 and c.va == 4, 9, (0, 0, 1, 2, 3, 4), {}),
 )
 
 _TABLE_LARGE = (
     ("H1", lambda c: (c.vb == 0 and c.va >= 1) or (c.va == 0 and c.vb >= 1),
-     0, 0, _ZERO_K, {}),
-    ("H2", lambda c: c.vb == 1 and c.va >= 1, 5, 5, _ZERO_K, {}),
-    ("H3", lambda c: c.va == 1 and c.vb >= 2, 6, 4, (0, 0, 0, 0, 0, 1), {}),
-    ("H4", lambda c: c.vb == 2 and c.va >= 2, 10, 4, (0, 0, 0, 1, 1, 1), {}),
-    ("H5", lambda c: c.va == 2 and c.vb >= 3, 12, 4, (0, 0, 0, 1, 1, 2), {}),
-    ("H6", lambda c: c.vb == 3 and c.va >= 3, 15, 3, (0, 0, 1, 1, 2, 2), {}),
-    ("H7", lambda c: c.va == 3 and c.vb >= 4, 18, 4, (0, 0, 1, 1, 2, 3), {}),
-    ("H8", lambda c: c.vb == 4 and c.va >= 4, 20, 4, (0, 0, 1, 2, 2, 3), {}),
-    ("H9", lambda c: c.va == 4 and c.vb >= 5, 24, 4, (0, 0, 1, 2, 3, 4), {}),
-    ("H10", lambda c: c.vb == 5 and c.va >= 5, 25, 5, (0, 0, 1, 2, 3, 4), {}),
-    ("H11", lambda c: c.va == 0 and c.vb == 0 and c.vD % 2 == 0, None, 0, _DEEP_K, _h_deep),
-    ("H12", lambda c: c.va == 0 and c.vb == 0 and c.vD % 2 == 1, None, 1, _DEEP_K, _h_deep),
+     0, _ZERO_K, {}),
+    ("H2", lambda c: c.vb == 1 and c.va >= 1, 5, _ZERO_K, {}),
+    ("H3", lambda c: c.va == 1 and c.vb >= 2, 4, (0, 0, 0, 0, 0, 1), {}),
+    ("H4", lambda c: c.vb == 2 and c.va >= 2, 4, (0, 0, 0, 1, 1, 1), {}),
+    ("H5", lambda c: c.va == 2 and c.vb >= 3, 4, (0, 0, 0, 1, 1, 2), {}),
+    ("H6", lambda c: c.vb == 3 and c.va >= 3, 3, (0, 0, 1, 1, 2, 2), {}),
+    ("H7", lambda c: c.va == 3 and c.vb >= 4, 4, (0, 0, 1, 1, 2, 3), {}),
+    ("H8", lambda c: c.vb == 4 and c.va >= 4, 4, (0, 0, 1, 2, 2, 3), {}),
+    ("H9", lambda c: c.va == 4 and c.vb >= 5, 4, (0, 0, 1, 2, 3, 4), {}),
+    ("H10", lambda c: c.vb == 5 and c.va >= 5, 5, (0, 0, 1, 2, 3, 4), {}),
+    ("H11", lambda c: c.va == 0 and c.vb == 0 and c.vD % 2 == 0, 0, _DEEP_K, _h_deep),
+    ("H12", lambda c: c.va == 0 and c.vb == 0 and c.vD % 2 == 1, 1, _DEEP_K, _h_deep),
 )
 
 _TABLES = {2: _TABLE_2, 3: _TABLE_3, 5: _TABLE_5}
@@ -564,7 +558,7 @@ def _local_data(p, field, vD):
         c.bq = (b // 4) % 4 if vb >= 2 else None
         c.bs = (b // 16) % 4 if vb >= 4 else None
     elif p == 3:
-        c.b3, c.b9 = b % 3, b % 9
+        c.b9 = b % 9
         c.B = b // 27 if vb >= 3 else None
         c.vBB = vp(c.B ** 3 - c.B, 3) if vb >= 3 else None
     elif p == 5:
@@ -582,8 +576,8 @@ def p_integral_basis(p: int, field: TrinomialField) -> PAdicBasis:
     """Triangular basis of the p-maximal order containing Z[theta].
 
     The one evaluator of the case tables: exactly one row of the table
-    of p must match, and its v_p(D), index relation and exponent vector
-    are checked before its builder runs.  When p does not divide D the
+    of p must match, and its index relation and exponent vector are
+    checked before its builder runs.  When p does not divide D the
     block's trivial case is returned without consulting the predicates.
     """
     table = _TABLES.get(p, _TABLE_LARGE)
@@ -599,9 +593,7 @@ def p_integral_basis(p: int, field: TrinomialField) -> PAdicBasis:
             f"case dispatch at p={p} for (a, b) = ({field.a}, {field.b}) "
             f"matched {[row[0] for row in matched]!r}; expected exactly one case"
         )
-    label, _, exact_vD, v_dK, k, rows = matched[0]
-    if exact_vD is not None and vD != exact_vD:
-        raise InternalError(f"case {label}: v_{p}(D) = {vD}, table says {exact_vD}")
+    label, _, v_dK, k, rows = matched[0]
     if k[5] is None:
         k = k[:5] + ((vD - v_dK) // 2 - sum(k[:5]),)
     if 2 * sum(k) + v_dK != vD:
@@ -640,15 +632,11 @@ class PureSexticReport:
 
     r1 and r2 are the exponents of 2 and 3 in |d_K|; s_p lists the
     exponent 6 - gcd(6, v_p(b)) for every other prime dividing b.
-    b2 and b3 are b with the full power of 2 resp. 3 removed.
     """
 
-    b: int
     r1: int
     r2: int
     s_p: tuple
-    b2: int
-    b3: int
     d_K: int
 
 
@@ -701,7 +689,7 @@ def pure_sextic_discriminant(b: int, factor_budget: int = FACTOR_BUDGET) -> Pure
     for p, s in s_p:
         d *= p ** s
     d_K = d if b < 0 else -d
-    return PureSexticReport(b=b, r1=r1, r2=r2, s_p=s_p, b2=b2, b3=b3, d_K=d_K)
+    return PureSexticReport(r1=r1, r2=r2, s_p=s_p, d_K=d_K)
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,37 @@ def test_case_dispatch_unique_and_consistent():
                     assert 0 <= c < p ** (B.k[i] - B.k[j])
 
 
+def test_case_table_errors(monkeypatch):
+    # x^6 + 2x + 2 is E2 at p = 2 (v_2(D) = 6, v_2(d_K) = 6, k = 0) and
+    # x^6 + 2x + 4 is E4 (v_2(D) = 6, v_2(d_K) = 4, k_5 = 1)
+    table = sextic._TABLES[2]
+    rows = {row[0]: i for i, row in enumerate(table)}
+
+    def patched(label, **change):
+        i = rows[label]
+        lab, pred, v_dK, k, built = table[i]
+        row = (lab, pred, change.get("v_dK", v_dK), change.get("k", k), built)
+        return table[:i] + (row,) + table[i + 1:]
+
+    e2, e4 = normalize(2, 2), normalize(2, 4)
+    assert p_integral_basis(2, e2).case == "E2"
+    assert p_integral_basis(2, e4).case == "E4"
+
+    monkeypatch.setitem(sextic._TABLES, 2, table + (("E2bis",) + table[rows["E2"]][1:],))
+    with pytest.raises(InternalError, match=r"matched \['E2', 'E2bis'\]; expected exactly one"):
+        p_integral_basis(2, e2)
+
+    # the paper's v_2(D) = 6 for E2 follows from the index relation, so a
+    # v_dK that is off by 2 cannot pass
+    monkeypatch.setitem(sextic._TABLES, 2, patched("E2", v_dK=8))
+    with pytest.raises(InternalError, match=r"case E2: 2\*0 \+ 8 != v_p\(D\) = 6"):
+        p_integral_basis(2, e2)
+
+    monkeypatch.setitem(sextic._TABLES, 2, patched("E4", k=(0, 0, 0, 0, 1, 0)))
+    with pytest.raises(InternalError, match=r"case E4: exponent vector .* not monotone"):
+        p_integral_basis(2, e4)
+
+
 def test_basis_rows_are_algebraic_integers():
     rng = random.Random(1234)
     # every nontrivial denominator pattern shows up in this selection
