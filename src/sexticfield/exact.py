@@ -1,8 +1,8 @@
 """Exact integer and rational utilities shared by the whole package.
 
 Everything here is deterministic and allocation-light: valuations,
-modular arithmetic, integer roots, primality, a budgeted integer
-factorizer and Hermite normal form for integer row lattices.
+modular arithmetic, integer roots, primality and a budgeted integer
+factorizer.
 `is_prime` is a proof below 3.3e24 (Miller-Rabin to the prime bases up
 to 37); from there up it is BPSW, a strong test to base 2 and a strong
 Lucas test, so a "prime" there is a probable prime: no composite is
@@ -16,9 +16,10 @@ block that divides n.  Perfect powers are found with exact integer
 roots, and what remains goes to Brent's rho under an iteration budget.
 `normalize` reuses the same trial stage.  There are no matrix
 inverses or determinants over Fractions: the verification layer works
-with integer triangular solves, Berkowitz characteristic polynomials
-and ranks mod p instead.  No floating point is used anywhere except
-the `math.inf` sentinel for the valuation of zero.
+with integer triangular solves, Berkowitz characteristic polynomials,
+fraction-free determinants and eliminations mod p instead.  No floating
+point is used anywhere except the `math.inf` sentinel for the valuation
+of zero.
 """
 
 from __future__ import annotations
@@ -177,21 +178,6 @@ def vp_fraction(q, p: int):
     return vp(q.numerator, p) - vp(q.denominator, p)
 
 
-def ext_gcd(a: int, b: int):
-    """Return (g, u, v) with u*a + v*b == g == gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 def solve_linear_congruence(c: int, d: int, modulus: int) -> int:
     """Least x >= 0 with c*x + d == 0 (mod modulus).
 
@@ -200,14 +186,12 @@ def solve_linear_congruence(c: int, d: int, modulus: int) -> int:
     """
     if modulus <= 0:
         raise ValueError("modulus must be positive")
-    if modulus == 1:
-        return 0
-    g, u, _ = ext_gcd(c, modulus)
+    g = math.gcd(c, modulus)
     if (-d) % g:
         raise ValueError(f"congruence {c}*x + {d} = 0 mod {modulus} has no solution")
     m = modulus // g
-    x = (u * ((-d) // g)) % m
-    return x
+    # pow(x, -1, 1) is 0, so a modulus of 1 gives 0
+    return (-d) // g * pow(c // g, -1, m) % m
 
 
 def crt_lift(residues, moduli) -> int:
@@ -221,11 +205,11 @@ def crt_lift(residues, moduli) -> int:
     for r, mi in zip(residues, moduli):
         if mi <= 0:
             raise ValueError("moduli must be positive")
-        g, u, _ = ext_gcd(m, mi)
+        g = math.gcd(m, mi)
         if g != 1:
             raise ValueError(f"moduli not coprime (gcd {g})")
         # x' = x + m * t with x + m*t = r (mod mi)  =>  t = (r - x)/m mod mi
-        t = (u * (r - x)) % mi
+        t = (r - x) * pow(m, -1, mi) % mi
         x = x + m * t
         m *= mi
         x %= m
@@ -517,72 +501,3 @@ def factor(n: int, budget: int = FACTOR_BUDGET) -> PrimeFactorization:
 
     factors = tuple(sorted(found.items()))
     return PrimeFactorization(factors=factors, cofactor=sign * cofactor)
-
-
-# ---------------------------------------------------------------------------
-# Hermite normal form for integer row lattices
-
-
-def hnf(rows):
-    """Hermite normal form of the lattice spanned by integer rows.
-
-    `rows` is a sequence of equal-length sequences of integers with at
-    least as many rows as columns and full column rank; an entry that is
-    not an integer (a Fraction, a float) raises TypeError.  Returns H, a
-    lower-triangular tuple-of-tuples of ints with positive diagonal and
-    entries below the diagonal reduced into [0, diagonal), whose rows
-    span the same lattice.
-    """
-    work = [[operator.index(x) for x in r] for r in rows]
-    if not work:
-        raise ValueError("empty row list")
-    n = len(work[0])
-    if any(len(r) != n for r in work):
-        raise ValueError("ragged rows")
-    if len(work) < n:
-        raise ValueError("need at least as many rows as columns")
-
-    m = len(work)
-    # eliminate columns right to left; the pivot for column j lands in the
-    # last still-active row so the surviving block comes out triangular
-    for j in range(n - 1, -1, -1):
-        last = j + (m - n)
-        pivot = None
-        for i in range(last + 1):
-            if work[i][j] != 0:
-                if pivot is None:
-                    pivot = i
-                    continue
-                a, b = work[pivot][j], work[i][j]
-                g, u, v = ext_gcd(a, b)
-                r0, r1 = work[pivot], work[i]
-                new0 = [u * x + v * y for x, y in zip(r0, r1)]
-                new1 = [(a // g) * y - (b // g) * x for x, y in zip(r0, r1)]
-                work[pivot], work[i] = new0, new1
-        if pivot is None:
-            raise ValueError(f"rank deficient: no pivot for column {j}")
-        work[pivot], work[last] = work[last], work[pivot]
-    # rows above the pivot block must now be zero
-    extra = m - n
-    for i in range(extra):
-        if any(work[i]):
-            raise InternalError("nonzero residual row after elimination")
-    work = work[extra:]
-
-    for i in range(n):
-        if work[i][i] == 0:
-            raise ValueError("rank deficient after elimination")
-        if work[i][i] < 0:
-            work[i] = [-x for x in work[i]]
-        for jj in range(i + 1, n):
-            if work[i][jj] != 0:
-                raise InternalError("matrix not triangular after elimination")
-
-    # reduce below-diagonal entries
-    for i in range(n):
-        for j in range(i - 1, -1, -1):
-            q = work[i][j] // work[j][j]
-            if q:
-                work[i] = [x - q * y for x, y in zip(work[i], work[j])]
-
-    return tuple(tuple(r) for r in work)

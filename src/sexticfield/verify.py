@@ -15,11 +15,11 @@ complete for every p, so the tests can check that they agree there.
 
 All of it is arithmetic on plain int lists.  The ring table is the
 integer convolution of two rows reduced by the monic f, with coordinates
-from one triangular back-substitution with exact division; Cohen's image
-sums rows of that table and back-substitutes inline against the integer
-HNF basis of the radical, and the maximality test is a rank computation
-over F_p.  The Dedekind criterion works mod p^2 on the F_p[x] kernel of
-`poly`.
+from one triangular back-substitution with exact division.  For Cohen's
+test one elimination over F_p gives kernels and, since the radical
+contains pO, its HNF basis from the pivot rows; the image sums rows of
+the table and back-substitutes inline against that basis.  The Dedekind
+criterion works mod p^2 on the F_p[x] kernel of `poly`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from .exact import InternalError, hnf
+from .exact import InternalError
 from .poly import Poly, convolve, factor_mod_p, fp_gcd, fp_mul, fp_sub
 
 __all__ = [
@@ -133,14 +133,37 @@ class OrderPresentation:
         return tuple(out)
 
 
+def _determinant(rows):
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Every entry computed is a minor of the input, so each division is
+    exact (Bareiss, Math. Comp. 22 (1968)); a zero pivot is swapped with
+    a row below it, which flips the sign.
+    """
+    M = [list(r) for r in rows]
+    n = len(M)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not M[k][k]:
+            s = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if s is None:
+                return 0
+            M[k], M[s] = M[s], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1]
+
+
 def lattice_index(basis) -> int:
     """Index of the power-basis lattice inside the one spanned by `basis`.
 
     With basis elements g_i/t_i this is prod(t_i) / |det N|, N the matrix
-    of numerator rows g_i, and |det N| the product of the diagonal of the
-    Hermite normal form of N; so it is an oracle independent of the
-    denominators' bookkeeping.  Accepts anything with
-    element(i) -> (numerator Poly, denominator).
+    of numerator rows g_i, and det N from fraction-free elimination; so
+    it is an oracle independent of the denominators' bookkeeping.
+    Accepts anything with element(i) -> (numerator Poly, denominator).
     """
     numerators = []
     scale = 1
@@ -148,11 +171,9 @@ def lattice_index(basis) -> int:
         g, t = basis.element(i)
         numerators.append(tuple(g[j] for j in range(6)))
         scale *= t
-    try:
-        H = hnf(numerators)
-    except ValueError:
-        raise ValueError("degenerate basis") from None
-    det = math.prod(H[i][i] for i in range(6))
+    det = abs(_determinant(numerators))
+    if not det:
+        raise ValueError("degenerate basis")
     if scale % det:
         raise InternalError("transition determinant is not a unit fraction")
     return scale // det
@@ -181,37 +202,44 @@ def dedekind_maximal_at_p(f: Poly, p: int) -> bool:
     return len(fp_gcd(p, d, T)) == 1
 
 
-def _left_kernel_mod_p(rows, p):
-    """Basis of {x : sum_j x_j * rows[j] = 0} over F_p.
+def _eliminate_mod_p(rows, p):
+    """Echelon rows and left kernel {x : sum_j x_j * rows[j] = 0} over F_p.
 
     Each row, with a unit vector appended that records how it was
-    combined, is reduced against the pivot rows before it; a row that
-    vanishes leaves a kernel vector in the appended part.
+    combined, is reduced against the pivot rows in the order they were
+    inserted.  A row that vanishes leaves a kernel vector in the
+    appended part; any other becomes a pivot row, scaled to 1 at its
+    last nonzero column.  Returns ({pivot column: pivot row}, kernel).
     """
-    width = len(rows[0])
-    pivots = []  # (pivot column, row scaled to 1 there)
-    basis = []
+    n = len(rows)
+    pivots = {}  # pivot column -> row scaled to 1 there, in insertion order
+    kernel = []
     for j, row in enumerate(rows):
-        row = [x % p for x in row] + [int(i == j) for i in range(len(rows))]
-        for c, b in pivots:
+        width = len(row)
+        row = [x % p for x in row] + [int(i == j) for i in range(n)]
+        for c, b in pivots.items():
             if row[c]:
                 t = row[c]
                 row = [(x - t * y) % p for x, y in zip(row, b)]
-        c = next((c for c in range(width) if row[c]), None)
+        c = next((c for c in range(width - 1, -1, -1) if row[c]), None)
         if c is None:
-            basis.append(tuple(row[width:]))
+            kernel.append(tuple(row[width:]))
         else:
             t = pow(row[c], -1, p)
-            pivots.append((c, [x * t % p for x in row]))
-    return basis
+            pivots[c] = [x * t % p for x in row]
+    return {c: tuple(b[:-n]) for c, b in pivots.items()}, kernel
 
 
-def _frobenius_power_rows(order: OrderPresentation, p: int, r: int):
-    """Matrix of x -> x^(p^r) on O/pO; row j is the image of basis j."""
+def _frobenius_power_rows(order: OrderPresentation, p: int):
+    """Matrix of x -> x^q on O/pO, q the least power of p with q >= 6;
+    row j is the image of basis j."""
+    q = p
+    while q < 6:
+        q *= p
     rows = []
     for j in range(6):
         acc = [int(i == 0) for i in range(6)]  # e_0 = 1
-        base, e = [int(i == j) for i in range(6)], p
+        base, e = [int(i == j) for i in range(6)], q
         while e:
             if e & 1:
                 acc = [x % p for x in order.multiply(acc, base)]
@@ -219,26 +247,14 @@ def _frobenius_power_rows(order: OrderPresentation, p: int, r: int):
             if e:
                 base = [x % p for x in order.multiply(base, base)]
         rows.append(acc)
-    mat = rows
-    for _ in range(r - 1):
-        # x -> x^p is F_p-linear: apply it to each row of the power so far
-        nxt = []
-        for line in mat:
-            out = [0] * 6
-            for i, x in enumerate(line):
-                if x:
-                    for k, y in enumerate(rows[i]):
-                        out[k] += x * y
-            nxt.append([x % p for x in out])
-        mat = nxt
-    return mat
+    return rows
 
 
 def maximality_test(order: OrderPresentation, p: int) -> bool:
     """Is the order p-maximal?  Cohen's criterion, exactly and mod p.
 
-    The p-radical I is pO plus the kernel of the iterated p-power map on
-    O/pO (iterated until p^r >= 6, which kills every nilpotent).  The
+    The p-radical I is pO plus the kernel of x -> x^q on O/pO, q the
+    least power of p with q >= 6, which kills every nilpotent.  The
     order is p-maximal iff the multiplier ring of I is O itself, which
     holds iff x -> (multiplication by x on I/pI) is injective on O/pO
     (Cohen, GTM 138, Alg. 6.1.8).  Each product e_j * g_k of a basis
@@ -247,19 +263,23 @@ def maximality_test(order: OrderPresentation, p: int) -> bool:
     over F_p must have a trivial left kernel.
     """
     BI = _radical_basis(order, p)
-    return not _left_kernel_mod_p(_radical_image(order, BI), p)
+    return not _eliminate_mod_p(_radical_image(order, BI), p)[1]
 
 
 def _radical_basis(order: OrderPresentation, p: int):
-    """HNF basis of the p-radical: pO plus the nilpotents of O/pO."""
-    r = 1
-    while p ** r < 6:
-        r += 1
-    nilpotents = _left_kernel_mod_p(_frobenius_power_rows(order, p, r), p)
+    """HNF basis of the p-radical: pO plus the nilpotents of O/pO.
 
-    gens = [[p if i == j else 0 for j in range(6)] for i in range(6)]
-    gens.extend(list(v) for v in nilpotents)
-    return hnf(gens)
+    Row c is the echelon row of the nilpotents that ends at column c, or
+    p * e_c where none does.  No back-reduction is needed: each kernel
+    vector is e_j plus coordinates below j, so forward elimination
+    already leaves the echelon rows at 0 on one another's pivots.
+    """
+    nilpotents = _eliminate_mod_p(_frobenius_power_rows(order, p), p)[1]
+    echelon = _eliminate_mod_p(nilpotents, p)[0]
+    return tuple(
+        echelon.get(c, tuple(p * int(i == c) for i in range(6)))
+        for c in range(6)
+    )
 
 
 def _radical_image(order: OrderPresentation, BI):

@@ -15,12 +15,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from polyref import hnf
 from sexticfield.exact import (
     _MR_DETERMINISTIC_BOUND,
     _SMALL_PRIMES,
     InternalError,
     _miller_rabin,
-    hnf,
     vp,
     vp_fraction,
 )

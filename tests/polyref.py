@@ -7,11 +7,98 @@ replaced are kept here as references: products of `Poly` objects reduced
 by `divmod_by`, coordinates by `_solve_triangular`, elements multiplied
 through the whole table, and Gauss-Jordan kernels over F_p of the
 transposed Frobenius matrix and of the 36 x 6 transposed image.
+
+`hnf` is the general Hermite normal form of integer rows, on the
+extended Euclid `ext_gcd`.  The radical basis built here through it must
+equal the one `verify` reads off an elimination mod p, and
+`oracles.prime_exponent_profile` reads a glued basis through it.
 """
 
-from sexticfield.exact import InternalError, hnf
+import operator
+
+from sexticfield.exact import InternalError
 from sexticfield.poly import Poly
 from sexticfield.verify import _solve_triangular
+
+
+def ext_gcd(a: int, b: int):
+    """Return (g, u, v) with u*a + v*b == g == gcd(a, b), g >= 0."""
+    old_r, r = a, b
+    old_u, u = 1, 0
+    old_v, v = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_u, u = u, old_u - q * u
+        old_v, v = v, old_v - q * v
+    if old_r < 0:
+        old_r, old_u, old_v = -old_r, -old_u, -old_v
+    return old_r, old_u, old_v
+
+
+def hnf(rows):
+    """Hermite normal form of the lattice spanned by integer rows.
+
+    `rows` is a sequence of equal-length sequences of integers with at
+    least as many rows as columns and full column rank; an entry that is
+    not an integer (a Fraction, a float) raises TypeError.  Returns H, a
+    lower-triangular tuple-of-tuples of ints with positive diagonal and
+    entries below the diagonal reduced into [0, diagonal), whose rows
+    span the same lattice.
+    """
+    work = [[operator.index(x) for x in r] for r in rows]
+    if not work:
+        raise ValueError("empty row list")
+    n = len(work[0])
+    if any(len(r) != n for r in work):
+        raise ValueError("ragged rows")
+    if len(work) < n:
+        raise ValueError("need at least as many rows as columns")
+
+    m = len(work)
+    # eliminate columns right to left; the pivot for column j lands in the
+    # last still-active row so the surviving block comes out triangular
+    for j in range(n - 1, -1, -1):
+        last = j + (m - n)
+        pivot = None
+        for i in range(last + 1):
+            if work[i][j] != 0:
+                if pivot is None:
+                    pivot = i
+                    continue
+                a, b = work[pivot][j], work[i][j]
+                g, u, v = ext_gcd(a, b)
+                r0, r1 = work[pivot], work[i]
+                new0 = [u * x + v * y for x, y in zip(r0, r1)]
+                new1 = [(a // g) * y - (b // g) * x for x, y in zip(r0, r1)]
+                work[pivot], work[i] = new0, new1
+        if pivot is None:
+            raise ValueError(f"rank deficient: no pivot for column {j}")
+        work[pivot], work[last] = work[last], work[pivot]
+    # rows above the pivot block must now be zero
+    extra = m - n
+    for i in range(extra):
+        if any(work[i]):
+            raise InternalError("nonzero residual row after elimination")
+    work = work[extra:]
+
+    for i in range(n):
+        if work[i][i] == 0:
+            raise ValueError("rank deficient after elimination")
+        if work[i][i] < 0:
+            work[i] = [-x for x in work[i]]
+        for jj in range(i + 1, n):
+            if work[i][jj] != 0:
+                raise InternalError("matrix not triangular after elimination")
+
+    # reduce below-diagonal entries
+    for i in range(n):
+        for j in range(i - 1, -1, -1):
+            q = work[i][j] // work[j][j]
+            if q:
+                work[i] = [x - q * y for x, y in zip(work[i], work[j])]
+
+    return tuple(tuple(r) for r in work)
 
 
 def kernel_mod_p(rows, p):

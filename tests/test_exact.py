@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fracmat import mat_det
 from oracles import is_prime_by_witnesses
+from polyref import ext_gcd, hnf
 from trialloop import factor_by_loop, trial_division_by_blocks
 
 from sexticfield import cli, exact
@@ -17,10 +18,8 @@ from sexticfield.exact import (
     InternalError,
     PrimeFactorization,
     crt_lift,
-    ext_gcd,
     factor,
     floor_root,
-    hnf,
     is_prime,
     solve_linear_congruence,
     vp,

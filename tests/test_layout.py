@@ -4,7 +4,10 @@ Every module-level function or class in `src/sexticfield` must either be
 named somewhere in the package outside its own definition (a call, an
 import, an attribute, a type hint) or be listed in a module's `__all__`.
 A helper that nothing in the pipeline reaches fails this test; delete
-it, or move it next to the tests that use it.
+it, or move it next to the tests that use it.  Since an import counts as
+a name, every module-level import must in turn be used in its module or
+be listed in its `__all__`, or a leftover import would keep a dead
+definition alive.
 """
 
 import ast
@@ -54,3 +57,24 @@ def test_every_definition_is_named_or_exported():
             if named[node.name] - _names(node)[node.name] <= 0:
                 unreached.append(f"{module}:{node.lineno} {node.name}")
     assert not unreached, "defined but never named: " + ", ".join(unreached)
+
+
+def test_every_import_is_used_or_exported():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exported = _exported(tree)
+        used = Counter()
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                used += _names(node)
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in exported and not used[bound]:
+                    unused.append(f"{path.name}:{node.lineno} {bound}")
+    assert not unused, "imported but never used: " + ", ".join(unused)

@@ -5,14 +5,15 @@ import pytest
 
 import polyref
 from casegen import all_labels, instance
-from fracmat import char_poly_of_element, mat_inv
+from fracmat import char_poly_of_element, mat_det, mat_inv
 from sexticfield.basis import assemble
-from sexticfield.exact import InternalError, factor, hnf
+from sexticfield.exact import InternalError, factor
 from sexticfield.poly import Poly, is_integral, trinomial
 from sexticfield.sextic import normalize, p_integral_basis
 from sexticfield.verify import (
     OrderPresentation,
-    _left_kernel_mod_p,
+    _determinant,
+    _eliminate_mod_p,
     _radical_basis,
     _radical_image,
     _solve_triangular,
@@ -89,6 +90,39 @@ def test_lattice_index():
             return g * u + h * t, t * u
 
     assert lattice_index(Mixed()) == 2 ** 3
+
+
+def test_determinant_against_fractions():
+    """Bareiss elimination equals Gaussian elimination on Fractions on
+    seeded 6 x 6 integer matrices: some with a zero leading entry, which
+    forces a row swap, some of rank below 6, and determinants of both
+    signs.  A basis with two equal numerator rows is degenerate."""
+    rng = random.Random(1968)
+    signs = set()
+    for k in range(200):
+        M = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]
+        if k % 4 == 1:
+            M[0][0] = 0
+        elif k % 4 == 2:
+            M[5] = [2 * x - y for x, y in zip(M[0], M[3])]
+        elif k % 4 == 3:
+            # zero pivots in the first two columns, so a later step swaps
+            for i in range(1, 6):
+                M[i][0] = 0
+            M[1][1] = 0
+        det = _determinant(M)
+        assert det == mat_det(M), M
+        signs.add((det > 0) - (det < 0))
+    assert signs == {-1, 0, 1}
+
+    basis = assemble(normalize(0, 12)).basis
+
+    class Twice:
+        def element(self, i):
+            return basis.element(min(i, 4))
+
+    with pytest.raises(ValueError, match="degenerate basis"):
+        lattice_index(Twice())
 
 
 def test_dedekind_criterion():
@@ -294,14 +328,21 @@ def test_symmetric_table_matches_all_36_products():
                     OrderPresentation.from_triangular(pb.rows, bad, field.f)
 
 
-def test_integer_kernels_match_the_poly_references():
-    """On two instances of every case, for the case's order and for
-    Z[theta]: the convolution table equals the Poly-based one, the
-    radical basis and the inline image equal those built through
-    `multiply` and `_solve_triangular`, and Cohen's test agrees."""
-    rng = random.Random(87)
+def check_kernel_agreement(per_label, seed):
+    """On `per_label` instances of every case, for the case's order and
+    for Z[theta]: the convolution table equals the Poly-based one, the
+    radical basis equals the HNF of pO plus the Gauss-Jordan nilpotents,
+    the inline image equals the one built through `multiply` and
+    `_solve_triangular`, and Cohen's test agrees.  CI runs 30 per label
+    as a step of its own with
+
+        python -c "import sys; sys.path[:0] = ['tests'];
+                   from test_verify import check_kernel_agreement;
+                   check_kernel_agreement(30, 1)"
+    """
+    rng = random.Random(seed)
     for label in all_labels():
-        for _ in range(2):
+        for _ in range(per_label):
             p, field = instance(label, rng)
             pb = p_integral_basis(p, field)
             for rows, dens in ((pb.rows, tuple(p ** k for k in pb.k)),
@@ -318,13 +359,17 @@ def test_integer_kernels_match_the_poly_references():
                     polyref.is_p_maximal(table, p), where
 
 
+def test_integer_kernels_match_the_poly_references():
+    check_kernel_agreement(2, 87)
+
+
 def test_radical_image_refuses_a_lattice_that_is_no_ideal():
     # pO + Z*theta: theta * theta = theta^2 lies outside it
     order = OrderPresentation.from_triangular(
         POWER_ROWS, (1,) * 6, trinomial(0, 12)
     )
     gens = [[2 * int(i == j) for j in range(6)] for i in range(6)]
-    BI = hnf(gens + [[0, 1, 0, 0, 0, 0]])
+    BI = polyref.hnf(gens + [[0, 1, 0, 0, 0, 0]])
     with pytest.raises(InternalError):
         _radical_image(order, BI)
     with pytest.raises(InternalError):
@@ -345,12 +390,12 @@ def test_left_kernel_against_gauss_jordan():
              for c in range(width)]
             for _ in range(6)
         ]
-        got = _left_kernel_mod_p(rows, p)
+        got = _eliminate_mod_p(rows, p)[1]
         for x in got:
             assert all(sum(x[j] * rows[j][c] for j in range(6)) % p == 0
                        for c in range(width))
         want = polyref.kernel_mod_p([list(col) for col in zip(*rows)], p)
         assert len(got) == len(want)
         lattice = [[p * int(i == j) for j in range(6)] for i in range(6)]
-        assert hnf(lattice + [list(x) for x in got]) == \
-            hnf(lattice + [list(x) for x in want])
+        assert polyref.hnf(lattice + [list(x) for x in got]) == \
+            polyref.hnf(lattice + [list(x) for x in want])
