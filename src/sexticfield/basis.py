@@ -129,44 +129,38 @@ def assemble(field: TrinomialField, factor_budget: int = FACTOR_BUDGET) -> Assem
     """Factor the discriminant, treat every prime factor, and glue.
 
     For p > 5 a prime dividing D and one of a, b divides both, so the
-    primes of D that divide ab are those of gcd(a, b).  The gcd is
-    factored first, under the same budget, unless `normalize` already
-    did (`field.gcd_factors`), and its primes are divided out of D
-    before `factor` runs rho on the rest.  A prime left in the rest's
-    unsplit cofactor is then prime to 30ab, which puts it in case H11
-    or H12, where its part of the index is p^floor(v_p(D)/2).  So
-    the one assumption left is that this part of the cofactor is
-    squarefree; it is recorded as a warning rather than an error, since
-    a cofactor that resists the budget is almost always squarefree.
-    A part of the gcd that stays unsplit gets its own warning, since
-    its primes can fall in H2-H10 with large index powers; its part of
-    D joins the cofactor without a second rho run.
+    primes of D that divide ab are those of gcd(a, b).  `normalize`
+    factored the gcd under the same budget (`field.gcd_factors`), and
+    its primes are divided out of D before `factor` runs rho on the
+    rest.  A prime left in the rest's unsplit cofactor is then prime to
+    30ab, which puts it in case H11 or H12, where its part of the index
+    is p^floor(v_p(D)/2).  So the one assumption left is that this part
+    of the cofactor is squarefree; it is recorded as a warning rather
+    than an error, since a cofactor that resists the budget is almost
+    always squarefree.  A part of the gcd that stays unsplit gets its
+    own warning, since its primes can fall in H2-H10 with large index
+    powers; its part of D joins the cofactor without a second rho run.
     """
     D = field.D
     warnings = []
     gcd_factors = []
     rest = D
     hidden = 1
-    g = math.gcd(field.a, field.b)
-    if g > 1:
-        gf = field.gcd_factors
-        if gf is None:
-            gf = factor(g, budget=factor_budget)
-        for p in gf.primes():
-            e = vp(D, p)
-            gcd_factors.append((p, e))
-            rest //= p ** e
-        unsplit = abs(gf.cofactor)
-        if unsplit != 1:
-            warnings.append(
-                f"gcd(a, b) of the normalized pair keeps an unfactored part "
-                f"of {unsplit.bit_length()} bits; its primes stay in the "
-                f"discriminant's cofactor and are assumed not to divide "
-                f"the index"
-            )
-            while (h := math.gcd(rest, unsplit)) > 1:
-                rest //= h
-                hidden *= h
+    for p in field.gcd_factors.primes():
+        e = vp(D, p)
+        gcd_factors.append((p, e))
+        rest //= p ** e
+    unsplit = field.gcd_factors.cofactor
+    if unsplit != 1:
+        warnings.append(
+            f"gcd(a, b) of the normalized pair keeps an unfactored part "
+            f"of {unsplit.bit_length()} bits; its primes stay in the "
+            f"discriminant's cofactor and are assumed not to divide "
+            f"the index"
+        )
+        while (h := math.gcd(rest, unsplit)) > 1:
+            rest //= h
+            hidden *= h
     rest_pf = factor(rest, budget=factor_budget)
     pf = PrimeFactorization(
         factors=tuple(sorted(rest_pf.factors + tuple(gcd_factors))),

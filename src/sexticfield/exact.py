@@ -14,12 +14,11 @@ segmented sieve and kept in 4096-bit pieces, and one gcd with it,
 reduced mod n by multiplying the pieces, finds every prime of the
 block that divides n.  Perfect powers are found with exact integer
 roots, and what remains goes to Brent's rho under an iteration budget.
-`normalize` reuses the same trial stage.  There are no matrix
-inverses or determinants over Fractions: the verification layer works
-with integer triangular solves, Berkowitz characteristic polynomials,
-fraction-free determinants and eliminations mod p instead.  No floating
-point is used anywhere except the `math.inf` sentinel for the valuation
-of zero.
+There are no matrix inverses or determinants over Fractions: the
+verification layer works with integer triangular solves, Berkowitz
+characteristic polynomials, fraction-free determinants and eliminations
+mod p instead.  No floating point is used anywhere except the
+`math.inf` sentinel for the valuation of zero.
 """
 
 from __future__ import annotations
@@ -337,8 +336,8 @@ def _pieces_of_block(k: int):
     return _block_pieces[k]
 
 
-def trial_division(n: int, bound: int):
-    """Divide the primes p <= min(bound, TRIAL_LIMIT) out of n >= 1.
+def trial_division(n: int):
+    """Divide the primes p <= TRIAL_LIMIT out of n >= 1.
 
     Trial division by gcds (Bernstein, "How to find small factors of
     integers"): one gcd of n with the product of the primes of a block
@@ -346,18 +345,18 @@ def trial_division(n: int, bound: int):
     gcd above 1 is split prime by prime.  The gcd is taken with the sum
     of the product's pieces times 2^(W*j) mod n, which is congruent to
     the product mod n.  The scan stops at the first block whose start lo
-    has lo > bound or lo*lo > n.
+    has lo*lo > n.
 
     Returns (found, rest): `found` lists (p, e) with p^e exactly
     dividing n, in increasing p, and rest = n / prod(p^e).  No prime
-    p <= min(bound, TRIAL_LIMIT) with p*p <= rest divides rest, so a
-    rest of at most min(bound, TRIAL_LIMIT)**2 is 1 or a prime.
+    p <= TRIAL_LIMIT with p*p <= rest divides rest, so a rest of at
+    most TRIAL_LIMIT**2 is 1 or a prime.
     """
     found = []
     shifts = []  # 2^(W*j) mod n for j = 0, 1, ..., rebuilt when n shrinks
     for k in range(_BLOCKS):
         lo = k * _BLOCK
-        if lo > bound or lo * lo > n:
+        if lo * lo > n:
             break
         pieces = _pieces_of_block(k)
         if not shifts:
@@ -380,8 +379,6 @@ def trial_division(n: int, bound: int):
         if g > 1:
             hits.append(g)
         for p in hits:
-            if p > bound:
-                break
             e = 0
             while n % p == 0:
                 n //= p
@@ -463,12 +460,12 @@ def factor(n: int, budget: int = FACTOR_BUDGET) -> PrimeFactorization:
     """Factor n with trial division, perfect powers, and budgeted rho.
 
     Never fails: whatever cannot be split within the budget is returned
-    in the cofactor.  n must be nonzero.
+    in the cofactor, which no found prime divides.  n must be nonzero.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = -1 if n < 0 else 1
-    small, n = trial_division(abs(n), TRIAL_LIMIT)
+    small, n = trial_division(abs(n))
     found = dict(small)
 
     def record(p, e=1):
@@ -499,5 +496,14 @@ def factor(n: int, budget: int = FACTOR_BUDGET) -> PrimeFactorization:
         stack.append((divisor, mult))
         stack.append((m // divisor, mult))
 
+    # rho may split off a prime that divides a part it then gave up on
+    rest = cofactor
+    for p in found:
+        while rest % p == 0:
+            rest //= p
+            record(p)
+    if 1 < rest < cofactor and (rest <= TRIAL_LIMIT ** 2 or is_prime(rest)):
+        record(rest)
+        rest = 1
     factors = tuple(sorted(found.items()))
-    return PrimeFactorization(factors=factors, cofactor=sign * cofactor)
+    return PrimeFactorization(factors=factors, cofactor=sign * rest)

@@ -62,7 +62,6 @@ from .exact import (
     floor_root,
     is_prime,
     solve_linear_congruence,
-    trial_division,
     vp,
 )
 from .poly import (
@@ -104,11 +103,10 @@ class TrinomialField:
     (p, e) means theta was replaced by theta/p^e, i.e. (a, b) was divided
     by (p^(5e), p^(6e)), and `original` is the input pair before it.
     `unsplit_content` is the part of gcd(a, b) that normalization could
-    not factor within its budget (1 when every content prime is known).
-    `gcd_factors` factors gcd(a, b) of the normalized pair when
-    normalization had to call `factor` on the input's gcd, so that
-    `assemble` need not factor it again; it is None when normalization
-    only trial-divided.
+    not factor within its budget and that could hide content primes (1
+    when every content prime is known).  `gcd_factors` factors gcd(a, b)
+    of the normalized pair, read off normalization's factorization of
+    the input's gcd.
     """
 
     a: int
@@ -117,8 +115,8 @@ class TrinomialField:
     D: int
     normalization: tuple
     original: tuple
-    unsplit_content: int = 1
-    gcd_factors: PrimeFactorization | None = None
+    unsplit_content: int
+    gcd_factors: PrimeFactorization
 
 
 def trinomial_discriminant(a: int, b: int) -> int:
@@ -141,35 +139,26 @@ def normalize(a: int, b: int, factor_budget: int = FACTOR_BUDGET) -> TrinomialFi
     Replacing theta by theta/p turns x^6 + a*x + b into
     x^6 + (a/p^5)*x + b/p^6, which defines the same field; this is
     applied e_p = min(v_p(b) // 6, v_p(a) // 5) times at every prime p
-    (e_p = v_p(b) // 6 when a = 0).  Such a p divides gcd(a, b) and is
-    at most B = min(|b|^(1/6), |a|^(1/5)), so while B <= 10^6 trial
-    division of the gcd up to B finds every one of them.  Above that
-    the gcd goes to `factor` under `factor_budget`; a part of it that
-    stays unsplit is kept in `unsplit_content`, and content there is
-    assumed absent.  The normalized pair's gcd divides the input's and
-    loses only primes that `factor` found, so its factorization is read
-    off that one and kept in `gcd_factors`.  b = 0 is rejected outright
-    (x divides the trinomial).
+    (e_p = v_p(b) // 6 when a = 0).  Such a p divides gcd(a, b), so the
+    gcd goes to `factor` under `factor_budget` at every size.  A content
+    prime is at most B = min(|b|^(1/6), |a|^(1/5)), and a part of the gcd
+    that stays unsplit has no prime up to `TRIAL_LIMIT`, so content can
+    hide there only when B > TRIAL_LIMIT; then the part is kept in
+    `unsplit_content`, and content there is assumed absent.  The
+    normalized pair's gcd divides the input's and loses only primes that
+    `factor` found, so its factorization is read off that one and kept
+    in `gcd_factors`.  b = 0 is rejected outright (x divides the
+    trinomial).
     """
     if b == 0:
         raise ValueError("b = 0: x divides x^6 + a*x, so no sextic field arises")
     original = (a, b)
-    g = math.gcd(a, b)
     bound = floor_root(abs(b), 6)
     if a != 0:
         bound = min(bound, floor_root(abs(a), 5))
-    unsplit = 1
-    pf = None
-    if bound <= TRIAL_LIMIT:
-        # p^5 | g keeps g >= p^2 until p's block, so trial division
-        # strips every content prime and the rest can be dropped
-        primes = [p for p, _ in trial_division(g, bound)[0]]
-    else:
-        pf = factor(g, budget=factor_budget)
-        primes = pf.primes()
-        unsplit = abs(pf.cofactor)
+    pf = factor(math.gcd(a, b), budget=factor_budget)
     applied = []
-    for p in primes:
+    for p in pf.primes():
         e = vp(b, p) // 6
         if a != 0:
             e = min(e, vp(a, p) // 5)
@@ -177,16 +166,9 @@ def normalize(a: int, b: int, factor_budget: int = FACTOR_BUDGET) -> TrinomialFi
             applied.append((p, e))
             a //= p ** (5 * e)
             b //= p ** (6 * e)
-    gcd_factors = None
-    if pf is not None:
-        rest = math.gcd(a, b)
-        found = []
-        for p in primes:
-            e = vp(rest, p)
-            if e:
-                found.append((p, e))
-                rest //= p ** e
-        gcd_factors = PrimeFactorization(factors=tuple(found), cofactor=rest)
+    g = math.gcd(a, b)
+    found = tuple((p, vp(g, p)) for p in pf.primes() if g % p == 0)
+    rest = g // math.prod(p ** e for p, e in found)
     return TrinomialField(
         a=a,
         b=b,
@@ -194,8 +176,8 @@ def normalize(a: int, b: int, factor_budget: int = FACTOR_BUDGET) -> TrinomialFi
         D=trinomial_discriminant(a, b),
         normalization=tuple(applied),
         original=original,
-        unsplit_content=unsplit,
-        gcd_factors=gcd_factors,
+        unsplit_content=abs(pf.cofactor) if bound > TRIAL_LIMIT else 1,
+        gcd_factors=PrimeFactorization(factors=found, cofactor=rest),
     )
 
 

@@ -228,6 +228,20 @@ def test_factor_budget_exhaustion():
     assert pf2.factors == ((p, 1), (q, 1))
 
 
+def test_factor_cofactor_shares_no_found_prime():
+    # rho splits off 9347141 and then gives up on 9347141 * 903245859221;
+    # the prime is divided out of that part, and the prime rest recorded
+    pf = factor(9347141 ** 2 * 903245859221, budget=10_000)
+    assert pf.factors == ((9347141, 2), (903245859221, 1))
+    assert pf.complete
+    # the same with a composite rest, which stays the cofactor
+    p, q, r = 3903511, 787696415797, 9987305529521
+    pf = factor(-(p ** 2) * q * r, budget=10_000)
+    assert pf.factors == ((p, 2),)
+    assert pf.cofactor == -q * r
+    assert factor_by_loop(-(p ** 2) * q * r, budget=10_000) == pf
+
+
 def test_factor_randomized_roundtrip():
     rng = random.Random(7)
     for _ in range(200):
@@ -288,10 +302,7 @@ def test_trial_division_agrees_with_the_loop_drawn(parts, tail, negative):
 
 
 def test_trial_division_bound_and_leftover():
-    found, rest = exact.trial_division(2 ** 3 * 5 * 13 * 17 * 999_983, 13)
-    assert found == [(2, 3), (5, 1), (13, 1)]
-    assert rest == 17 * 999_983
-    found, rest = exact.trial_division(2 * 999_983, exact.TRIAL_LIMIT)
+    found, rest = exact.trial_division(2 * 999_983)
     # the scan stops once lo*lo > rest, so the last prime may stay in rest
     assert found[0] == (2, 1)
     assert math.prod(p ** e for p, e in found) * rest == 2 * 999_983
@@ -299,10 +310,9 @@ def test_trial_division_bound_and_leftover():
 
 def check_trial_division_agreement(count, seed):
     """`trial_division` returns what the gcd scan over whole block
-    products returns, at every bound in 13, 16383, 16384 and 10^6, on
-    fixed edge cases and on `count` seeded draws of n with 60 to 2000
-    bits: a random number times a few primes below 1.1 * 10^6 to random
-    powers.
+    products returns, on fixed edge cases and on `count` seeded draws
+    of n with 60 to 2000 bits: a random number times a few primes below
+    1.1 * 10^6 to random powers.
 
     CI runs a draw of 20,000 as a step of its own with
 
@@ -326,9 +336,7 @@ def check_trial_division_agreement(count, seed):
             n *= q ** rng.randrange(1, 4)
         cases.append(n)
     for n in cases:
-        for bound in (13, 16383, 16384, 10 ** 6):
-            want = trial_division_by_blocks(n, bound)
-            assert exact.trial_division(n, bound) == want, (n, bound)
+        assert exact.trial_division(n) == trial_division_by_blocks(n), n
 
 
 def test_trial_division_agrees_with_the_block_scan():

