@@ -24,13 +24,11 @@ from .sextic import (
     CASE_LABELS,
     IrreducibilityReport,
     PAdicBasis,
-    PureSexticReport,
     TrinomialField,
     irreducibility_check,
     normalize,
     ore_translations,
     p_integral_basis,
-    pure_sextic_discriminant,
     trinomial_discriminant,
 )
 from .verify import (
@@ -53,7 +51,6 @@ __all__ = [
     "PAdicBasis",
     "Poly",
     "PrimeFactorization",
-    "PureSexticReport",
     "TrinomialField",
     "assemble",
     "build_polygon",
@@ -67,7 +64,6 @@ __all__ = [
     "normalize",
     "ore_translations",
     "p_integral_basis",
-    "pure_sextic_discriminant",
     "trinomial",
     "trinomial_discriminant",
 ]

@@ -36,7 +36,6 @@ from .sextic import (
     normalize,
     ore_translations,
     p_integral_basis,
-    pure_sextic_discriminant,
 )
 from .verify import (
     OrderPresentation,
@@ -77,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor-budget", type=int, default=FACTOR_BUDGET,
                    help="iteration budget for factoring the discriminant "
                         "(default %(default)s)")
-    p.add_argument("--pure", action="store_true",
-                   help="when a = 0, cross-check via the closed-form rule")
     return p
 
 
@@ -335,24 +332,6 @@ def _execute(args):
             "factors": _factors_list((pb.p, pb.v_dK) for pb in per_prime if pb.v_dK)
             if pf.complete else None,
         }
-
-    if args.pure:
-        if field.a != 0:
-            warnings.append("--pure ignored: a is nonzero")
-        elif d_K is None:
-            warnings.append("--pure ignored: field discriminant not computed")
-        else:
-            try:
-                pure = pure_sextic_discriminant(
-                    field.b, factor_budget=args.factor_budget
-                )
-            except ValueError as e:
-                warnings.append(f"--pure ignored: {e}")
-            else:
-                checks.append({
-                    "name": "pure_sextic_cross_check",
-                    "passed": pure.d_K == d_K,
-                })
 
     if args.verify != "none":
         ok = all(

@@ -257,18 +257,6 @@ class PrimeFactorization:
     def complete(self) -> bool:
         return self.cofactor in (1, -1)
 
-    def value(self) -> int:
-        n = self.cofactor
-        for p, e in self.factors:
-            n *= p ** e
-        return n
-
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def primes(self):
         return tuple(p for p, _ in self.factors)
 

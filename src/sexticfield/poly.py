@@ -92,27 +92,12 @@ class Poly:
             other = Poly((other,))
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Poly(tuple(c * other for c in self.coeffs))
         return Poly(convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power")
-        r = Poly((1,))
-        base = self
-        while e:
-            if e & 1:
-                r = r * base
-            base = base * base
-            e >>= 1
-        return r
 
     def __call__(self, x):
         v = 0

@@ -10,13 +10,14 @@ data into concrete objects:
   * the 87-case classification as four tables, one per prime block:
     E1-E26 at p = 2, F1-F27 at p = 3, G1-G22 at p = 5 and H1-H12 for
     every larger prime;
-  * a closed form for the field discriminant of pure sextics x^6 + b,
-    used as an independent cross-check of the main pipeline;
   * an irreducibility test that always decides and names its argument:
     closed-form criteria for binomials, roots +-1 and ramification,
     factor-degree patterns modulo small primes, and finally one Hensel
     lift of f modulo a prime with an exhaustive search over products of
     the lifted factors.  It never factors b.
+
+The closed form for the field discriminant of pure sextics x^6 + b, the
+oracle for the a = 0 slice of the tables, is in `tests/oracles.py`.
 
 Each table row is
 
@@ -78,13 +79,11 @@ from .poly import (
 __all__ = [
     "TrinomialField",
     "PAdicBasis",
-    "PureSexticReport",
     "IrreducibilityReport",
     "CASE_LABELS",
     "normalize",
     "trinomial_discriminant",
     "p_integral_basis",
-    "pure_sextic_discriminant",
     "irreducibility_check",
     "ore_translations",
     "reduce_triangular_rows",
@@ -602,76 +601,6 @@ def ore_translations(params):
         if name in params:
             return (params[name],)
     return ()
-
-
-# ---------------------------------------------------------------------------
-# pure sextics x^6 + b
-
-
-@dataclasses.dataclass(frozen=True)
-class PureSexticReport:
-    """Closed-form discriminant data for an irreducible x^6 + b.
-
-    r1 and r2 are the exponents of 2 and 3 in |d_K|; s_p lists the
-    exponent 6 - gcd(6, v_p(b)) for every other prime dividing b.
-    """
-
-    r1: int
-    r2: int
-    s_p: tuple
-    d_K: int
-
-
-def pure_sextic_discriminant(b: int, factor_budget: int = FACTOR_BUDGET) -> PureSexticReport:
-    """Field discriminant of Q(b^(1/6)) straight from congruences on b.
-
-    Requires b sixth-power-free and x^6 + b irreducible (equivalently,
-    -b neither a square nor a cube); violations raise ValueError.
-    """
-    if b == 0:
-        raise ValueError("b must be nonzero")
-    witness = _capelli_witness(b)
-    if witness is not None:
-        raise ValueError(f"x^6 + {b} is reducible: {witness!r} divides it")
-    fb = factor(b, budget=factor_budget)
-    if not fb.complete:
-        raise ValueError(
-            f"cannot certify b = {b} sixth-power-free: unfactored part {fb.cofactor}"
-        )
-    for p, e in fb.factors:
-        if e >= 6:
-            raise ValueError(f"b is divisible by {p}^6; normalize first")
-
-    v2b, v3b = fb.exponent(2), fb.exponent(3)
-    b2 = b // 2 ** v2b
-    b3 = b // 3 ** v3b
-
-    if v2b == 0:
-        r1 = 0 if b % 4 == 3 else 6
-    elif v2b in (1, 5):
-        r1 = 11
-    elif v2b == 3:
-        r1 = 9
-    else:  # v2b in (2, 4)
-        r1 = 4 if b2 % 4 == 3 else 8
-
-    if v3b == 0:
-        r2 = 2 if b % 9 in (1, 8) else 6
-    elif v3b in (1, 5):
-        r2 = 11
-    elif v3b in (2, 4):
-        r2 = 10
-    else:  # v3b == 3
-        r2 = 3 if (b3 * b3) % 9 == 1 else 7
-
-    s_p = tuple(
-        (p, 6 - math.gcd(6, e)) for p, e in fb.factors if p not in (2, 3)
-    )
-    d = 2 ** r1 * 3 ** r2
-    for p, s in s_p:
-        d *= p ** s
-    d_K = d if b < 0 else -d
-    return PureSexticReport(r1=r1, r2=r2, s_p=s_p, d_K=d_K)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,17 @@ reads a glued basis back at one prime, and `discriminant` is the norm
 of F'(theta) (`derivative`) from the Berkowitz kernel of `poly`.
 `is_prime_by_witnesses` is the 50-base Miller-Rabin test that
 `exact.is_prime` ran above its deterministic bound before BPSW; the two
-must agree on every input drawn.
+must agree on every input drawn.  `pure_sextic_discriminant` is the
+closed form for the field discriminant of x^6 + b, the oracle for the
+a = 0 slice of the case tables; it factors b with sympy, so it shares
+no code with the pipeline.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import sympy
 
 from polyref import hnf
 from sexticfield.exact import (
@@ -300,3 +305,64 @@ def discriminant(F: Poly) -> int:
         raise ValueError("positive degree expected")
     norm = (-1) ** n * char_poly_numerators(derivative(F), 1, F)[n]
     return (-1) ** (n * (n - 1) // 2) * norm
+
+
+@dataclass(frozen=True)
+class PureSexticReport:
+    """Closed-form discriminant data for an irreducible x^6 + b.
+
+    r1 and r2 are the exponents of 2 and 3 in |d_K|; s_p lists the
+    exponent 6 - gcd(6, v_p(b)) for every other prime dividing b.
+    """
+
+    r1: int
+    r2: int
+    s_p: tuple
+    d_K: int
+
+
+def pure_sextic_discriminant(b: int) -> PureSexticReport:
+    """Field discriminant of Q(b^(1/6)) straight from congruences on b.
+
+    Requires b sixth-power-free and x^6 + b irreducible (equivalently,
+    -b neither a square nor a cube); violations raise ValueError.
+    """
+    if b == 0:
+        raise ValueError("b must be nonzero")
+    c = -b
+    if (c > 0 and sympy.integer_nthroot(c, 2)[1]) or sympy.integer_nthroot(abs(c), 3)[1]:
+        raise ValueError(f"x^6 + {b} is reducible: -b is a square or a cube")
+    exponents = sympy.factorint(abs(b))
+    fb = sorted(exponents.items())
+    for p, e in fb:
+        if e >= 6:
+            raise ValueError(f"b is divisible by {p}^6; normalize first")
+
+    v2b, v3b = exponents.get(2, 0), exponents.get(3, 0)
+    b2 = b // 2 ** v2b
+    b3 = b // 3 ** v3b
+
+    if v2b == 0:
+        r1 = 0 if b % 4 == 3 else 6
+    elif v2b in (1, 5):
+        r1 = 11
+    elif v2b == 3:
+        r1 = 9
+    else:  # v2b in (2, 4)
+        r1 = 4 if b2 % 4 == 3 else 8
+
+    if v3b == 0:
+        r2 = 2 if b % 9 in (1, 8) else 6
+    elif v3b in (1, 5):
+        r2 = 11
+    elif v3b in (2, 4):
+        r2 = 10
+    else:  # v3b == 3
+        r2 = 3 if (b3 * b3) % 9 == 1 else 7
+
+    s_p = tuple((p, 6 - math.gcd(6, e)) for p, e in fb if p not in (2, 3))
+    d = 2 ** r1 * 3 ** r2
+    for p, s in s_p:
+        d *= p ** s
+    d_K = d if b < 0 else -d
+    return PureSexticReport(r1=r1, r2=r2, s_p=s_p, d_K=d_K)

@@ -4,9 +4,13 @@
 monic f, and the image behind Cohen's test by summing rows of that
 table and back-substituting inline.  The straightforward versions they
 replaced are kept here as references: products of `Poly` objects reduced
-by `divmod_by`, coordinates by `_solve_triangular`, elements multiplied
+by `divmod_by`, coordinates by `solve_triangular`, elements multiplied
 through the whole table, and Gauss-Jordan kernels over F_p of the
 transposed Frobenius matrix and of the 36 x 6 transposed image.
+`solve_triangular` is a copy of `verify._solve_triangular`, so that
+nothing here runs `verify` code: `tests/reportcheck.py` builds on this
+module to check reports from outside the package.  `poly_pow` is the
+power of a `Poly` that the tests build polynomials with.
 
 `hnf` is the general Hermite normal form of integer rows, on the
 extended Euclid `ext_gcd`.  The radical basis built here through it must
@@ -14,11 +18,42 @@ equal the one `verify` reads off an elimination mod p, and
 `oracles.prime_exponent_profile` reads a glued basis through it.
 """
 
+import math
 import operator
 
 from sexticfield.exact import InternalError
 from sexticfield.poly import Poly
-from sexticfield.verify import _solve_triangular
+
+
+def poly_pow(F: Poly, e: int) -> Poly:
+    """F^e for an integer e >= 0."""
+    result = Poly((1,))
+    for _ in range(e):
+        result = result * F
+    return result
+
+
+def solve_triangular(rows, dens, v, den):
+    """Integer coordinates of v/den in the lattice spanned by rows[i]/dens[i].
+
+    rows[i] is an integer row whose last nonzero entry is rows[i][i]
+    (entries past i may be absent).  Returns None when v/den is not in
+    the lattice.  Back-substitution from the top coordinate down, over
+    the common denominator, with exact division only.
+    """
+    L = math.lcm(den, *dens)
+    w = [x * (L // den) for x in v]
+    x = [0] * len(rows)
+    for k in range(len(rows) - 1, -1, -1):
+        row, s = rows[k], L // dens[k]
+        q, r = divmod(w[k], row[k] * s)
+        if r:
+            return None
+        if q:
+            x[k] = q
+            for j in range(k + 1):
+                w[j] -= q * row[j] * s
+    return tuple(x)
 
 
 def ext_gcd(a: int, b: int):
@@ -144,7 +179,7 @@ def table_by_polys(rows, denominators, f):
     for i in range(6):
         for j in range(i, 6):
             prod = (polys[i] * polys[j]).divmod_by(f)[1]
-            coords = _solve_triangular(
+            coords = solve_triangular(
                 full, denominators, [prod[k] for k in range(6)],
                 denominators[i] * denominators[j],
             )
@@ -209,7 +244,7 @@ def radical_image(table, BI):
         e_j = tuple(int(i == j) for i in range(6))
         row = []
         for g in BI:
-            coords = _solve_triangular(BI, ones, multiply(table, e_j, g), 1)
+            coords = solve_triangular(BI, ones, multiply(table, e_j, g), 1)
             if coords is None:
                 raise InternalError("radical is not an ideal of the order")
             row.extend(coords)

@@ -116,6 +116,7 @@ def test_usage_errors_exit_64(capsys):
         ["--a", "1", "--b", "2", "--factor-budget", "-1"],
         # D has about 4800 digits, past the int-to-str limit of 4300
         ["--a", str(10 ** 800 + 1), "--b", "3"],
+        ["--a", "0", "--b", "135", "--pure"],  # the flag is gone
     ):
         code, out, err = _capture(capsys, argv)
         assert code == 64
@@ -202,37 +203,6 @@ def test_package_runs_from_src_alone(tmp_path):
     (entry,) = [e for e in report["primes"] if e["prime"] == "5"]
     assert entry["case"] == "G6"
     assert "translated_polygon" in entry["explain"]
-
-
-def test_pure_cross_check(capsys):
-    code, out, _ = _capture(
-        capsys, ["--a", "0", "--b", "135", "--pure", "--verify", "full", "--json"]
-    )
-    assert code == 0
-    report = json.loads(out)
-    names = [c["name"] for c in report["verification"]["checks"]]
-    assert "pure_sextic_cross_check" in names
-    assert report["verification"]["all_passed"] is True
-
-    # with a nonzero the flag cannot apply and degrades to a warning
-    code, out, _ = _capture(capsys, ["--a", "4", "--b", "4", "--pure", "--json"])
-    assert code == 0
-    report = json.loads(out)
-    assert any("--pure ignored" in w for w in report["warnings"])
-
-
-def test_pure_ignored_when_b_resists_the_budget(capsys):
-    """The closed form needs b factored; failing that it is a warning."""
-    b = (2 ** 61 - 1) * (2 ** 89 - 1)
-    argv = ["--a", "0", "--b", str(b), "--json", "--factor-budget", "10"]
-    code, plain, err = _capture(capsys, argv)
-    assert (code, err) == (0, "")
-    code, out, err = _capture(capsys, argv + ["--pure"])
-    assert (code, err) == (0, "")
-    report, without = json.loads(out), json.loads(plain)
-    warning = report["warnings"].pop()
-    assert warning.startswith(f"--pure ignored: cannot certify b = {b} sixth-power-free")
-    assert report == without
 
 
 def test_verify_modes(capsys):

@@ -8,6 +8,12 @@ it, or move it next to the tests that use it.  Since an import counts as
 a name, every module-level import must in turn be used in its module or
 be listed in its `__all__`, or a leftover import would keep a dead
 definition alive.
+
+The same holds for the methods and properties of every class in `src`:
+each must be named as an attribute (`x.name`) somewhere in the package
+outside its own body, or aliased in its class (`__radd__ = __add__`).
+Methods that Python calls through syntax or a protocol, never by name,
+are on `PROTOCOL`, each with the reason it stays.
 """
 
 import ast
@@ -37,6 +43,84 @@ def _exported(tree):
         ):
             return {elt.value for elt in node.value.elts}
     return set()
+
+
+# Class.method -> why it stays although nothing in src names it
+PROTOCOL = {
+    "Poly.__init__": "Poly(...) calls it",
+    "Poly.__setattr__": "every attribute assignment calls it; it keeps Poly immutable",
+    "Poly.__getitem__": "indexing calls it: g[j] in verify.lattice_index and poly",
+    "Poly.__eq__": "== calls it, and so do the generated __eq__ of the frozen "
+                   "dataclasses that hold a Poly (TrinomialField, NewtonPolygon)",
+    "Poly.__hash__": "hash() calls it, and so does the generated __hash__ of the "
+                     "frozen dataclasses that hold a Poly",
+    "Poly.__neg__": "unary minus calls it: -other in Poly.__sub__",
+    "Poly.__sub__": "binary minus calls it: X - t0 in cli._prime_entry",
+    "Poly.__call__": "a call calls it: f(r) in sextic.irreducibility_check",
+    "Poly.__repr__": "repr() calls it, in assertion messages for one",
+    "IntegralBasis.__post_init__": "the dataclass __init__ calls it",
+    "_Parser.error": "argparse calls it on every usage error",
+}
+
+
+def _methods(trees):
+    """(module, class, method node) for every function in a class body."""
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield module, node.name, item
+
+
+def _attribute_names(node):
+    """Attribute names read under `node`, and names aliased in class bodies."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.ClassDef):
+            for item in sub.body:
+                if isinstance(item, ast.Assign) and isinstance(item.value, ast.Name):
+                    found[item.value.id] += 1
+    return found
+
+
+def unnamed_methods(trees):
+    """Methods of `trees` ({module name: ast}) that nothing names."""
+    named = Counter()
+    for tree in trees.values():
+        named += _attribute_names(tree)
+    return [
+        f"{module}:{node.lineno} {cls}.{node.name}"
+        for module, cls, node in _methods(trees)
+        if f"{cls}.{node.name}" not in PROTOCOL
+        # names inside the method itself (recursion) do not count
+        and named[node.name] - _attribute_names(node)[node.name] <= 0
+    ]
+
+
+def _src_trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_every_method_is_named():
+    trees = _src_trees()
+    unnamed = unnamed_methods(trees)
+    assert not unnamed, "methods nothing names: " + ", ".join(unnamed)
+    defined = {f"{cls}.{node.name}" for _, cls, node in _methods(trees)}
+    assert not set(PROTOCOL) - defined, "stale PROTOCOL entries"
+
+
+def test_method_gate_finds_a_planted_method():
+    trees = _src_trees()
+    source = (SRC / "poly.py").read_text().replace(
+        "    def divmod_by(self, divisor",
+        "    def planted(self):\n        return self.divmod_by(X)\n\n"
+        "    def divmod_by(self, divisor",
+    )
+    trees["poly.py"] = ast.parse(source)
+    assert [entry.split(" ")[1] for entry in unnamed_methods(trees)] == ["Poly.planted"]
 
 
 def test_every_definition_is_named_or_exported():

