@@ -208,10 +208,6 @@ class PAdicBasis:
     def index_valuation(self) -> int:
         return sum(self.k)
 
-    def element(self, i: int):
-        """Row i as (numerator polynomial in theta, denominator)."""
-        return Poly(tuple(self.rows[i]) + (1,)), self.p ** self.k[i]
-
 
 def reduce_triangular_rows(rows, denominators):
     """Canonicalize triangular basis rows by subtracting earlier rows.

@@ -8,10 +8,12 @@ with i <= j, since the order is commutative, p-maximality of the
 power order through the classical gcd criterion, and p-maximality of an
 arbitrary order through Cohen's criterion on the p-radical.  Agreement
 between these oracles and the table-driven pipeline is what the test
-suite leans on.  The CLI calls the two maximality oracles only at
-primes with v_p(D) >= 2: at the others the index relation
-D = [O_K : Z[theta]]^2 * d_K already proves p-maximality.  Both stay
-complete for every p, so the tests can check that they agree there.
+suite leans on.  The CLI reports a lattice that `OrderPresentation`
+refuses as a failed ring_closure check, and calls the two maximality
+oracles only at primes with v_p(D) >= 2: at the others the index
+relation D = [O_K : Z[theta]]^2 * d_K already makes Z[theta]
+p-maximal, so it lists no check there.  Both oracles stay complete for
+every p, so the tests can check that they agree there.
 
 All of it is arithmetic on plain int lists.  The ring table is the
 integer convolution of two rows reduced by the monic f, with coordinates

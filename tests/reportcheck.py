@@ -25,7 +25,13 @@ verifier.  It asserts:
   * index is the product of the denominators, d_K * index^2 = D, and
     d_K's factors are the primes with v_dK > 0 when D is factored;
   * for a = 0 with D factored, d_K equals the closed form of
-    `oracles.pure_sextic_discriminant`.
+    `oracles.pure_sextic_discriminant`;
+  * the verification block lists exactly its mode's checks: none under
+    `none`, `basis_rows_integral` under `basic`, and under `full` also
+    `transition_determinant`, `ring_closure` and the maximality and
+    Dedekind pair at each listed prime with v_D >= 2 (at the others
+    there is nothing to decide), and all_passed is the conjunction of
+    the listed verdicts.
 
 A prime hidden in an unfactored cofactor is assumed squarefree by the
 report, and nothing here can check it.  Any failed check raises
@@ -187,3 +193,19 @@ def check_report(a, b, report):
             assert pure_sextic_discriminant(nb).d_K == d_K, "pure-sextic closed form"
     else:
         assert field["factors"] is None
+    _check_verification(report["verification"], local)
+
+
+def _check_verification(ver, local):
+    """The check names of ver's mode, in order, and its all_passed."""
+    names = []
+    if ver["mode"] != "none":
+        names.append("basis_rows_integral")
+    if ver["mode"] == "full":
+        names += ["transition_determinant", "ring_closure"]
+        for p, v_D, _, _ in local:
+            if v_D >= 2:
+                names += [f"maximality_at_{p}", f"dedekind_agreement_at_{p}"]
+    assert [c["name"] for c in ver["checks"]] == names, "verification check names"
+    assert ver["all_passed"] == all(c["passed"] for c in ver["checks"]), \
+        "all_passed is not the conjunction of the checks"

@@ -176,9 +176,8 @@ def test_case_table_sweep():
         assert pb.v_D == vp(field.D, p)
         assert 2 * sum(pb.k) + pb.v_dK == pb.v_D
 
-        for i in range(6):
-            g, t = pb.element(i)
-            assert is_integral(g, t, field.f), (label, i)
+        for i, (row, k) in enumerate(zip(pb.rows, pb.k)):
+            assert is_integral(Poly(row + (1,)), p ** k, field.f), (label, i)
 
         order = OrderPresentation.from_triangular(
             pb.rows, tuple(p ** k for k in pb.k), field.f

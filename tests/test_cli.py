@@ -17,7 +17,6 @@ from sexticfield import cli
 from sexticfield.basis import IntegralBasis, assemble
 from sexticfield.cli import run
 from sexticfield.sextic import CASE_LABELS, normalize, p_integral_basis
-from sexticfield.verify import OrderPresentation
 
 from casegen import instance
 
@@ -206,22 +205,33 @@ def test_package_runs_from_src_alone(tmp_path):
 
 
 def test_verify_modes(capsys):
+    """Each mode lists exactly its checks; full adds the maximality and
+    Dedekind pair only at primes with v_p(D) >= 2, so not at 8539 for
+    (4, 4), where v_8539(D) = 1."""
     code, out, _ = _capture(
         capsys, ["--a", "0", "--b", "12", "--verify", "none"]
     )
     assert code == 0
     assert "verification: skipped" in out
 
-    code, out, _ = _capture(
-        capsys, ["--a", "0", "--b", "12", "--verify", "full", "--json"]
-    )
-    assert code == 0
-    report = json.loads(out)
-    names = [c["name"] for c in report["verification"]["checks"]]
-    assert "transition_determinant" in names
-    assert "maximality_at_2" in names
-    assert "dedekind_agreement_at_3" in names
-    assert all(c["passed"] for c in report["verification"]["checks"])
+    full = ["basis_rows_integral", "transition_determinant", "ring_closure"]
+    expected = {
+        (0, 12): full + ["maximality_at_2", "dedekind_agreement_at_2",
+                         "maximality_at_3", "dedekind_agreement_at_3"],
+        (4, 4): full + ["maximality_at_2", "dedekind_agreement_at_2"],
+    }
+    for (a, b), full_names in expected.items():
+        lists = {"none": [], "basic": ["basis_rows_integral"], "full": full_names}
+        for mode, names in lists.items():
+            code, out, err = _capture(
+                capsys,
+                ["--a", str(a), "--b", str(b), "--verify", mode, "--json"],
+            )
+            assert (code, err) == (0, "")
+            ver = json.loads(out)["verification"]
+            assert [c["name"] for c in ver["checks"]] == names, (a, b, mode)
+            assert all(c["passed"] for c in ver["checks"])
+            assert ver["all_passed"] is True
 
 
 def test_text_report_worked_example(capsys):
@@ -423,13 +433,14 @@ def test_full_verify_runs_oracles_only_where_the_index_can_live(
     assert seen == {"maximality": [2], "dedekind": [2]}
 
 
-def test_low_valuation_prime_in_the_index_fails_maximality(
+def test_low_valuation_prime_in_the_index_fails_integrality(
     capsys, monkeypatch
 ):
-    """A basis with 8539 in its index fails maximality_at_8539, v(D) = 1.
+    """A basis with 8539 in its index still exits 1, v_8539(D) = 1.
 
-    No lattice with that index is a ring, so the ring certificate is
-    built from the honest basis; that isolates the maximality decision.
+    No check is listed at 8539, where the index relation leaves nothing
+    to decide; the tampered row t^5/(2 * 8539) is not integral, so
+    basis_rows_integral fails, under basic and under full alike.
     """
     honest = assemble(normalize(4, 4))
     basis = honest.basis
@@ -443,27 +454,48 @@ def test_low_valuation_prime_in_the_index_fails_maximality(
             d_K=basis.d_K,
         ),
     )
+    monkeypatch.setattr(cli, "assemble", lambda field, factor_budget: tampered)
+    for mode in ("basic", "full"):
+        code, out, err = _capture(
+            capsys, ["--a", "4", "--b", "4", "--json", "--verify", mode]
+        )
+        assert (code, err) == (1, "")
+        ver = json.loads(out)["verification"]
+        checks = {c["name"]: c["passed"] for c in ver["checks"]}
+        assert checks["basis_rows_integral"] is False
+        assert not any(name.endswith("_at_8539") for name in checks)
+        assert ver["all_passed"] is False
 
-    class HonestRing:
+
+def test_lattice_that_is_no_ring_fails_ring_closure(capsys, monkeypatch):
+    """A lattice that OrderPresentation refuses is a failed ring_closure
+    check in a complete report, not an internal error; with no order,
+    no prime is claimed maximal."""
+
+    class NoRing:
         @staticmethod
         def from_triangular(rows, denominators, f):
-            return OrderPresentation.from_triangular(
-                basis.rows, basis.denominators, f
-            )
+            raise ValueError("lattice is not closed under multiplication")
 
-    monkeypatch.setattr(cli, "assemble", lambda field, factor_budget: tampered)
-    monkeypatch.setattr(cli, "OrderPresentation", HonestRing)
+    monkeypatch.setattr(cli, "OrderPresentation", NoRing)
     code, out, err = _capture(
         capsys, ["--a", "4", "--b", "4", "--json", "--verify", "full"]
     )
-    assert code == 1
-    assert err == ""
-    checks = {
-        c["name"]: c["passed"]
-        for c in json.loads(out)["verification"]["checks"]
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    golden = json.loads((GOLDEN / "a4_b4_full.json").read_text())
+    assert {k: v for k, v in report.items() if k != "verification"} == {
+        k: v for k, v in golden.items() if k != "verification"
     }
-    assert checks["maximality_at_8539"] is False
-    assert checks["maximality_at_2"] is True
+    ver = report["verification"]
+    assert ver["checks"] == [
+        {"name": "basis_rows_integral", "passed": True},
+        {"name": "transition_determinant", "passed": True},
+        {"name": "ring_closure", "passed": False},
+        {"name": "maximality_at_2", "passed": False},
+        {"name": "dedekind_agreement_at_2", "passed": True},
+    ]
+    assert ver["all_passed"] is False
 
 
 def test_hidden_gcd_prime_is_classified(capsys):

@@ -149,6 +149,18 @@ def test_planted_defect_is_flagged(plant, message):
         check_report(0, 135, report)
 
 
+def test_maximality_entry_at_a_low_valuation_prime_is_flagged():
+    """v_8539(D) = 1 for (4, 4): a maximality entry there is a check
+    that cannot fail, and the checker refuses it."""
+    report = _golden("a4_b4_full.json")
+    check_report(4, 4, report)
+    report["verification"]["checks"].append(
+        {"name": "maximality_at_8539", "passed": True}
+    )
+    with pytest.raises(AssertionError, match="verification check names"):
+        check_report(4, 4, report)
+
+
 def test_pure_sextic_closed_form_is_consulted(monkeypatch):
     report = _golden("a0_b12_full.json")
     monkeypatch.setattr(reportcheck, "pure_sextic_discriminant",

@@ -6,7 +6,7 @@ import pytest
 import polyref
 from casegen import all_labels, instance
 from fracmat import char_poly_of_element, mat_det, mat_inv
-from sexticfield.basis import assemble
+from sexticfield.basis import assemble, combine
 from sexticfield.exact import InternalError, factor
 from sexticfield.poly import Poly, is_integral, trinomial
 from sexticfield.sextic import normalize, p_integral_basis
@@ -77,7 +77,7 @@ def test_lattice_index():
 
     field = normalize(0, 135)
     pb = p_integral_basis(3, field)
-    assert lattice_index(pb) == 3 ** pb.index_valuation
+    assert lattice_index(combine([pb], field.D)) == 3 ** pb.index_valuation
 
     # the same lattice in the unimodular basis b_i + b_(i+1), b_5: the
     # numerators are no longer triangular and prod(t_i) is not the index
