@@ -11,10 +11,9 @@ the same lattice come out equal.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
-from .exact import FACTOR_BUDGET, InternalError, PrimeFactorization, crt_lift, factor, vp
+from .exact import FACTOR_BUDGET, InternalError, PrimeFactorization, Record, crt_lift, factor, vp
 from .poly import Poly
 from .sextic import TrinomialField, p_integral_basis, reduce_triangular_rows
 
@@ -26,22 +25,24 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class IntegralBasis:
+class IntegralBasis(Record):
     """Triangular basis (c_i0 + c_i1*theta + ... + theta^i)/t_i.
 
     `rows[i]` lists the i coefficients below the leading term and
     `denominators[i]` is t_i.  The index of the power-basis lattice in
     the one spanned here is the product of the t_i, and d_K is the
-    discriminant of the spanned order.
+    discriminant of the spanned order.  Every construction checks these
+    shapes and that the index is the product of the t_i.
     """
 
+    __slots__ = ("rows", "denominators", "index", "d_K")
     rows: tuple
     denominators: tuple
     index: int
     d_K: int
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if len(self.rows) != 6 or len(self.denominators) != 6:
             raise ValueError("need six rows and six denominators")
         if self.denominators[0] != 1:
@@ -115,10 +116,10 @@ def combine(p_bases, D: int) -> IntegralBasis:
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class Assembly:
+class Assembly(Record):
     """Everything the pipeline learned about one field."""
 
+    __slots__ = ("discriminant_factors", "per_prime", "basis", "warnings")
     discriminant_factors: PrimeFactorization
     per_prime: tuple
     basis: IntegralBasis

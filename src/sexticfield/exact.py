@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,6 +38,60 @@ FACTOR_BUDGET = 2_000_000
 
 class InternalError(RuntimeError):
     """An invariant that should be unreachable was violated."""
+
+
+class Record:
+    """Base of the immutable result records; a subclass's fields are its
+    `__slots__`.
+
+    A record is built from its fields by position or keyword, and a
+    field left out takes its value from the class's `_defaults`.  Two
+    records are equal when they are of the same class with equal fields,
+    and a record hashes as the tuple of its fields, so one holding an
+    unhashable value is unhashable.  A record is no tuple: it does not
+    unpack and never equals a tuple.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if args:
+            if len(args) > len(names) or not kwargs.keys().isdisjoint(names[:len(args)]):
+                raise TypeError(f"{type(self).__name__} takes the fields {names}")
+            kwargs.update(zip(names, args))
+        if self._defaults:
+            kwargs = {**self._defaults, **kwargs}
+        for name in names:
+            if name not in kwargs:
+                raise TypeError(f"{type(self).__name__} needs the field {name!r}")
+            object.__setattr__(self, name, kwargs[name])
+        if len(kwargs) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +294,7 @@ def floor_root(n: int, k: int) -> int:
 # integer factorization
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
+class PrimeFactorization(Record):
     """Partial or complete factorization of a nonzero integer.
 
     `factors` is a sorted tuple of (prime, exponent) pairs and `cofactor`
@@ -250,6 +302,7 @@ class PrimeFactorization:
     the budget.  The factorization is complete iff cofactor is +-1.
     """
 
+    __slots__ = ("factors", "cofactor")
     factors: tuple
     cofactor: int
 

@@ -16,17 +16,16 @@ and climbs to (n, v_p(digit 0)) with increasing slopes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import INF, InternalError, is_prime
+from .exact import INF, InternalError, Record, is_prime
 from .poly import Poly, factor_mod_p, gauss_valuation, phi_expansion
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     """One hull edge from (x0, y0) to (x1, y1), x1 > x0, integer heights."""
 
+    __slots__ = ("x0", "y0", "x1", "y1")
     x0: int
     y0: int
     x1: int
@@ -45,8 +44,8 @@ class Edge:
         return Fraction(self.rise, self.run)
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Record):
+    __slots__ = ("phi", "points", "vertices", "edges")
     phi: Poly
     points: tuple  # (x, y) with y an int or +inf
     vertices: tuple  # subset of points forming the lower hull

@@ -82,8 +82,6 @@ class Poly:
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(tuple(self[i] + other[i] for i in range(n)))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Poly(tuple(-c for c in self.coeffs))
 
@@ -91,13 +89,6 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = Poly((other,))
         return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self.coeffs))
-        return Poly(convolve(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
 
     def __call__(self, x):
         v = 0

@@ -47,7 +47,6 @@ guessing.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -59,6 +58,7 @@ from .exact import (
     TRIAL_LIMIT,
     InternalError,
     PrimeFactorization,
+    Record,
     factor,
     floor_root,
     is_prime,
@@ -94,8 +94,7 @@ __all__ = [
 # the field object
 
 
-@dataclasses.dataclass(frozen=True)
-class TrinomialField:
+class TrinomialField(Record):
     """A normalized trinomial x^6 + a*x + b with its discriminant data.
 
     `normalization` records the scaling steps applied to the input pair:
@@ -108,6 +107,10 @@ class TrinomialField:
     the input's gcd.
     """
 
+    __slots__ = (
+        "a", "b", "f", "D", "normalization", "original", "unsplit_content",
+        "gcd_factors",
+    )
     a: int
     b: int
     f: Poly
@@ -184,8 +187,7 @@ def normalize(a: int, b: int, factor_budget: int = FACTOR_BUDGET) -> TrinomialFi
 # basis templates
 
 
-@dataclasses.dataclass(frozen=True)
-class PAdicBasis:
+class PAdicBasis(Record):
     """Triangular p-integral basis (c_i0 + ... + theta^i)/p^k_i.
 
     `rows` holds six coefficient tuples of lengths 0..5, already reduced
@@ -196,6 +198,7 @@ class PAdicBasis:
     builders), in a fixed order.
     """
 
+    __slots__ = ("p", "case", "params", "k", "rows", "v_D", "v_dK")
     p: int
     case: str
     params: MappingProxyType
@@ -603,8 +606,7 @@ def ore_translations(params):
 # irreducibility over Q
 
 
-@dataclasses.dataclass(frozen=True)
-class IrreducibilityReport:
+class IrreducibilityReport(Record):
     """Outcome of the irreducibility test.
 
     status is "irreducible" or "reducible"; `method` names the deciding
@@ -612,9 +614,11 @@ class IrreducibilityReport:
     "reducible".
     """
 
+    __slots__ = ("status", "method", "witness")
     status: str
     method: str
-    witness: Poly | None = None
+    witness: Poly | None
+    _defaults = {"witness": None}
 
 
 def _capelli_witness(b):

@@ -26,10 +26,9 @@ criterion works mod p^2 on the F_p[x] kernel of `poly`.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
-from .exact import InternalError
+from .exact import InternalError, Record
 from .poly import Poly, convolve, factor_mod_p, fp_gcd, fp_mul, fp_sub
 
 __all__ = [
@@ -63,8 +62,7 @@ def _solve_triangular(rows, dens, v, den):
     return tuple(x)
 
 
-@dataclasses.dataclass(frozen=True)
-class OrderPresentation:
+class OrderPresentation(Record):
     """A multiplicatively closed lattice between Z[theta] and the maximal order.
 
     The basis elements are the triangular theta-power rows over their
@@ -77,6 +75,7 @@ class OrderPresentation:
     ring.
     """
 
+    __slots__ = ("mult_table",)
     mult_table: tuple
 
     @classmethod

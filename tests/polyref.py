@@ -22,15 +22,20 @@ import math
 import operator
 
 from sexticfield.exact import InternalError
-from sexticfield.poly import Poly
+from sexticfield.poly import Poly, convolve
+
+
+def poly_mul(*factors: Poly) -> Poly:
+    """The product of `factors` (1 for none)."""
+    coeffs = (1,)
+    for F in factors:
+        coeffs = convolve(coeffs, F.coeffs)
+    return Poly(coeffs)
 
 
 def poly_pow(F: Poly, e: int) -> Poly:
     """F^e for an integer e >= 0."""
-    result = Poly((1,))
-    for _ in range(e):
-        result = result * F
-    return result
+    return poly_mul(*[F] * e)
 
 
 def solve_triangular(rows, dens, v, den):
@@ -178,7 +183,7 @@ def table_by_polys(rows, denominators, f):
     table = [[None] * 6 for _ in range(6)]
     for i in range(6):
         for j in range(i, 6):
-            prod = (polys[i] * polys[j]).divmod_by(f)[1]
+            prod = poly_mul(polys[i], polys[j]).divmod_by(f)[1]
             coords = solve_triangular(
                 full, denominators, [prod[k] for k in range(6)],
                 denominators[i] * denominators[j],

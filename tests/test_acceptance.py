@@ -39,6 +39,7 @@ from oracles import (
     pure_sextic_discriminant,
     residual_polynomials,
 )
+from polyref import poly_mul
 
 
 def _coord_matrix(rows, denominators):
@@ -114,9 +115,9 @@ def test_polygon_walkthroughs():
     # a quadratic base: F is assembled from its own phi-adic digits
     phi = Poly((1, 0, 1))
     F = (
-        phi * phi * phi
-        + Poly((9, 3)) * phi * phi
-        + Poly((9, 12)) * phi
+        poly_mul(phi, phi, phi)
+        + poly_mul(Poly((9, 3)), phi, phi)
+        + poly_mul(Poly((9, 12)), phi)
         + Poly((81, 9))
     )
     ng = build_polygon(F, phi, 3)

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -14,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sexticfield import cli
-from sexticfield.basis import IntegralBasis, assemble
+from sexticfield.basis import Assembly, IntegralBasis, assemble
 from sexticfield.cli import run
 from sexticfield.sextic import CASE_LABELS, normalize, p_integral_basis
 
@@ -123,6 +122,18 @@ def test_usage_errors_exit_64(capsys):
         assert err != ""
 
 
+def test_help_exits_0_through_main(capsys, monkeypatch):
+    """--help prints the usage through the console script's entry point
+    and exits 0; argparse formats help differently from 3.14 on."""
+    monkeypatch.setattr(sys, "argv", ["sexticfield", "--help"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    assert exit_info.value.code == 0
+    out = capsys.readouterr()
+    assert "usage:" in out.out and "--factor-budget" in out.out
+    assert out.err == ""
+
+
 def test_prime_restriction(capsys):
     """--prime computes only the local data and says so."""
     code, out, _ = _capture(
@@ -188,12 +199,14 @@ sys.exit(code)
 def test_package_runs_from_src_alone(tmp_path):
     """With only src on sys.path (-I -S: no PYTHONPATH, site-packages or
     script directory) and run outside the checkout, --explain --verify
-    full answers and loads no module of the test suite."""
+    full answers and loads no module of the test suite.  -B: -I ignores
+    PYTHONDONTWRITEBYTECODE, and bytecode cached under src would make
+    later cold starts from this checkout faster than a fresh one's."""
     argv = ["--a", "-6", "--b", "-20", "--json", "--explain", "--verify", "full"]
     tests = str(Path(__file__).resolve().parent) + os.sep
     script = _SRC_ONLY.format(src=str(_SRC), argv=argv, tests=tests)
     proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", script],
+        [sys.executable, "-I", "-S", "-B", "-c", script],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -202,6 +215,39 @@ def test_package_runs_from_src_alone(tmp_path):
     (entry,) = [e for e in report["primes"] if e["prime"] == "5"]
     assert entry["case"] == "G6"
     assert "translated_polygon" in entry["explain"]
+
+
+# run by a fresh interpreter that writes no bytecode: prints which of
+# dataclasses and inspect are loaded after the statements
+_LOADED = """
+import sys
+sys.path.insert(0, {src!r})
+{statements}
+print(" ".join(sorted({{"dataclasses", "inspect"}} & set(sys.modules))))
+"""
+
+
+def _loaded_after(statements, cwd):
+    script = _LOADED.format(src=str(_SRC), statements=statements)
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", script],
+        cwd=cwd, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    """Importing the CLI loads dataclasses or inspect only where the
+    stdlib modules it imports (argparse with a parser built, fractions,
+    json.encoder) load them anyway: every CLI call would pay for them."""
+    stdlib = _loaded_after(
+        "import argparse, fractions, json.encoder\n"
+        "argparse.ArgumentParser(prog='p', description='d')"
+        ".add_argument('--a', type=int, help='h')",
+        tmp_path,
+    )
+    assert _loaded_after("import sexticfield.cli", tmp_path) <= stdlib
 
 
 def test_verify_modes(capsys):
@@ -444,8 +490,9 @@ def test_low_valuation_prime_in_the_index_fails_integrality(
     """
     honest = assemble(normalize(4, 4))
     basis = honest.basis
-    tampered = dataclasses.replace(
-        honest,
+    tampered = Assembly(
+        discriminant_factors=honest.discriminant_factors,
+        per_prime=honest.per_prime,
         basis=IntegralBasis(
             rows=basis.rows,
             denominators=basis.denominators[:5]
@@ -453,6 +500,7 @@ def test_low_valuation_prime_in_the_index_fails_integrality(
             index=basis.index * 8539,
             d_K=basis.d_K,
         ),
+        warnings=honest.warnings,
     )
     monkeypatch.setattr(cli, "assemble", lambda field, factor_budget: tampered)
     for mode in ("basic", "full"):

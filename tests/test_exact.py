@@ -453,7 +453,7 @@ def test_hnf_spans_the_lattice_of_integer_rows(n, extra, entries):
         assert not any(w)
 
 
-def test_prime_factorization_dataclass():
+def test_prime_factorization_record():
     pf = PrimeFactorization(factors=((2, 3), (5, 1)), cofactor=-1)
     assert pf.complete
     assert _value(pf) == -40

@@ -14,6 +14,8 @@ from oracles import (
 from sexticfield.newton import Edge, build_polygon
 from sexticfield.poly import Poly, X, factor_mod_p, trinomial
 
+from polyref import poly_mul
+
 
 def test_edge_geometry():
     e = Edge(0, 0, 4, 2)
@@ -32,7 +34,12 @@ def test_edge_geometry():
 def test_polygon_quadratic_base_example():
     # built from its phi-expansion, so every digit is known by hand
     phi = Poly((1, 0, 1))  # x^2 + 1
-    F = phi * phi * phi + Poly((9, 3)) * phi * phi + Poly((9, 12)) * phi + Poly((81, 9))
+    F = (
+        poly_mul(phi, phi, phi)
+        + poly_mul(Poly((9, 3)), phi, phi)
+        + poly_mul(Poly((9, 12)), phi)
+        + Poly((81, 9))
+    )
     ng = build_polygon(F, phi, 3)
     assert [tuple(pt) for pt in ng.points] == [(0, 0), (1, 1), (2, 1), (3, 2)]
     assert [tuple(v) for v in ng.vertices] == [(0, 0), (2, 1), (3, 2)]
@@ -97,11 +104,11 @@ def test_build_polygon_errors():
     with pytest.raises(ValueError):
         build_polygon(f, Poly((-1, 0, 1)), 3)  # x^2 - 1 reducible mod 3
     with pytest.raises(ValueError):
-        build_polygon(X * (X + 1), X, 2)  # phi divides F
+        build_polygon(poly_mul(X, X + 1), X, 2)  # phi divides F
     with pytest.raises(ValueError):
         build_polygon(Poly((5, 1)), Poly((0, 0, 1)), 5)  # single digit
     with pytest.raises(ValueError):
-        build_polygon(2 * X * X + 2, X, 2)  # non-monic F
+        build_polygon(Poly((2, 0, 2)), X, 2)  # non-monic F
 
 
 def test_ore_index_pinned_pure_sextics():

@@ -22,6 +22,7 @@ from sexticfield.sextic import (
 
 from casegen import instance
 from oracles import REGULAR_ROUTE, derivative, pure_sextic_discriminant
+from polyref import poly_mul
 
 
 def test_discriminant_values():
@@ -552,7 +553,7 @@ def test_irreducibility_witnesses_verify():
             c1 = -u * c2 - w * (-u)
             c0 = -u * c1 - w * c2
             h = Poly((c0, c1, c2, -u, 1))
-            prod = g * h
+            prod = poly_mul(g, h)
             a, b = prod.coeffs[1], prod.coeffs[0]
             if b == 0 or trinomial(a, b) != prod:
                 continue

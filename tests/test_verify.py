@@ -87,7 +87,10 @@ def test_lattice_index():
             if i == 5:
                 return g, t
             h, u = basis.element(i + 1)
-            return g * u + h * t, t * u
+            return (
+                polyref.poly_mul(g, Poly((u,))) + polyref.poly_mul(h, Poly((t,))),
+                t * u,
+            )
 
     assert lattice_index(Mixed()) == 2 ** 3
 
@@ -254,7 +257,7 @@ def _char_poly_by_matrix(g, t, f):
     n = f.degree
     rows = []
     for j in range(n):
-        prod = (g * Poly((0,) * j + (1,))).divmod_by(f)[1]
+        prod = polyref.poly_mul(g, Poly((0,) * j + (1,))).divmod_by(f)[1]
         rows.append([Fraction(prod[k], t) for k in range(n)])
     M = rows
     coeffs = [Fraction(1)]
@@ -295,7 +298,7 @@ def _table_by_fractions(rows, denominators, f):
     for i in range(6):
         line = []
         for j in range(6):
-            prod = (elements[i] * elements[j]).divmod_by(f)[1]
+            prod = polyref.poly_mul(elements[i], elements[j]).divmod_by(f)[1]
             den = denominators[i] * denominators[j]
             coords = [
                 sum(Fraction(prod[k], den) * inverse[k][l] for k in range(6))
