@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from .basis import assemble, combine
@@ -233,6 +234,22 @@ def _skeleton(a, b):
     }
 
 
+@lru_cache(maxsize=1)
+def _power_of_ten(limit):
+    return 10 ** limit
+
+
+def _check_printable(D):
+    """Raise UsageError when |D| has more digits than str() may print."""
+    # Python releases before 3.10.7 have no such limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and abs(D) >= _power_of_ten(limit):
+        raise UsageError(
+            f"the discriminant of (a, b) has more than {limit} digits, "
+            f"the interpreter's limit for printing an integer"
+        )
+
+
 def _execute(args):
     a, b = args.a, args.b
     report = _skeleton(a, b)
@@ -242,13 +259,7 @@ def _execute(args):
         raise UsageError("--factor-budget must be non-negative")
     if args.prime is not None and not is_prime(args.prime):
         raise UsageError(f"--prime must be a prime number, got {args.prime}")
-    # Python releases before 3.10.7 have no such limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and abs(3125 * a ** 6 - 46656 * b ** 5) >= 10 ** limit:
-        raise UsageError(
-            f"the discriminant of (a, b) has more than {limit} digits, "
-            f"the interpreter's limit for printing an integer"
-        )
+    _check_printable(3125 * a ** 6 - 46656 * b ** 5)
 
     # degenerate inputs never reach the tables
     if b == 0:

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .exact import INF, InternalError, Record, is_prime
-from .poly import Poly, factor_mod_p, gauss_valuation, phi_expansion
+from .poly import Poly, gauss_valuation, irreducible_mod_p, phi_expansion
 
 
 class Edge(Record):
@@ -89,10 +89,8 @@ def build_polygon(F: Poly, phi: Poly, p: int) -> NewtonPolygon:
         raise ValueError("F must be monic")
     if not phi.is_monic() or phi.degree < 1:
         raise ValueError("phi must be monic of positive degree")
-    if phi.degree > 1:
-        _, facs = factor_mod_p(phi, p)
-        if len(facs) != 1 or facs[0][1] != 1 or len(facs[0][0]) != len(phi.coeffs):
-            raise ValueError("phi must be irreducible modulo p")
+    if phi.degree > 1 and not irreducible_mod_p(phi, p):
+        raise ValueError("phi must be irreducible modulo p")
     digits = phi_expansion(F, phi)
     n = len(digits) - 1
     if n < 1:

@@ -6,9 +6,13 @@ phi-adic expansion used by the Newton-polygon machinery, the
 integrality test for algebraic numbers given in root-power coordinates
 (their characteristic polynomials by division-free Berkowitz on the
 integer multiplication matrix, run modulo t^n for an element over
-denominator t, and skipped for t = 1), and complete factorization
-modulo a prime by one distinct-degree / equal-degree factorizer that
-serves every p.
+denominator t, and skipped for t = 1), and factoring modulo a prime.
+One distinct-degree factorization (DDF) serves every p and three
+uses: `factor_mod_p` splits each of its parts into irreducibles by
+equal-degree splitting; `factor_degrees_mod_p` reads the factor
+degrees off the parts with no split; and `irreducible_mod_p` stops at
+the first part, so a reducible polynomial costs only the degrees up to
+its first nontrivial gcd.
 
 Arithmetic in F_p[x] is one kernel on plain int lists: every `fp_*`
 helper takes the prime p first and lists of ascending coefficients in
@@ -49,6 +53,9 @@ class Poly:
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
 
     @property
     def degree(self) -> int:
@@ -222,7 +229,19 @@ def fp_divmod(p, a, b):
 
 
 def fp_rem(p, a, b):
-    return fp_divmod(p, a, b)[1]
+    """a mod b, as `fp_divmod` computes it, with no quotient built."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    a = list(a)
+    inv_lead = 1 if b[-1] == 1 else pow(b[-1], -1, p)
+    low = [(j, y) for j, y in enumerate(b[:db]) if y]
+    for i in range(len(a) - 1 - db, -1, -1):
+        c = a[i + db] * inv_lead % p
+        if c:
+            for j, y in low:
+                a[i + j] -= c * y
+    return _fp_strip([x % p for x in a[:db]])
 
 
 def fp_monic(p, a):
@@ -259,14 +278,29 @@ def fp_inverse_mod(p, a, m):
 
 
 def fp_pow_mod(p, base, e: int, mod):
-    result = [1]
+    """base^e mod (p, mod), squaring from the top bit of e down.
+
+    For base = x, the power of the leading bits of e is the monomial
+    x^v, reduced at once while v <= 2*(deg mod - 1), the degree of a
+    square; each later multiplication by x is a shift.  So x^p, the first
+    power of every distinct-degree factorization, costs a few squarings.
+    """
+    if not e:
+        return [1]
+    bits = bin(e)[2:]
     base = fp_rem(p, base, mod)
-    while e:
-        if e & 1:
-            result = fp_rem(p, convolve(result, base), mod)
-        e >>= 1
-        if e:
-            base = fp_rem(p, convolve(base, base), mod)
+    by_x = base == [0, 1]
+    k = 1
+    if by_x:
+        while k < len(bits) and int(bits[:k + 1], 2) <= 2 * (len(mod) - 2):
+            k += 1
+        result = fp_rem(p, [0] * int(bits[:k], 2) + [1], mod)
+    else:
+        result = base
+    for bit in bits[k:]:
+        result = fp_rem(p, convolve(result, result), mod)
+        if bit == "1":
+            result = fp_rem(p, [0] + result if by_x else convolve(result, base), mod)
     return result
 
 
@@ -297,38 +331,44 @@ def reduce_poly(F: Poly, p: int) -> tuple:
 
 
 def _ddf(p, f):
-    """Factorization [(irreducible, multiplicity)] of a monic f over F_p.
+    """Distinct-degree factorization of a monic f over F_p, lazily.
 
-    At step d every factor of degree < d has been divided out of f with
-    its multiplicity, so gcd(x^(p^d) - x, f) is the product of the
-    distinct degree-d irreducibles left in f (x^(p^d) - x is
-    squarefree), whatever the characteristic.  Each is split off by
-    `_edf` and divided out as often as it goes.  Once 2d > deg f, what
-    remains cannot hold two factors of degree >= d, so it is
-    irreducible with multiplicity 1.
+    Yields (d, g, e), lowest d first and, for each d, e = 1, 2, ...: g
+    is the product of the distinct degree-d irreducibles that divide f
+    at least e times.  At step d every factor of degree < d has been
+    divided out of f with its multiplicity, so gcd(x^(p^d) - x, f) is
+    the product of the distinct degree-d irreducibles left in f
+    (x^(p^d) - x is squarefree), whatever the characteristic.  It is
+    yielded as soon as it is found, then divided out once, and its gcd
+    with what is left holds the factors of higher multiplicity.  Once
+    2d > deg f, what remains cannot hold two factors of degree >= d, so
+    it is irreducible with multiplicity 1.
     """
-    out = []
     w = [0, 1]  # x^(p^d) mod f
     d = 0
     while len(f) > 1:
         d += 1
         if 2 * d >= len(f):
-            out.append((f, 1))
-            break
+            yield len(f) - 1, f, 1
+            return
         w = fp_pow_mod(p, w, p, f)
-        g = fp_gcd(p, fp_sub(p, w, [0, 1]), f)
+        g = fp_gcd(p, f, fp_sub(p, w, [0, 1]))
         if len(g) == 1:
             continue
-        for irr in _edf(p, g, d):
-            e = 0
-            while True:
-                q, r = fp_divmod(p, f, irr)
-                if r:
+        e = 1
+        yield d, g, e
+        f, _ = fp_divmod(p, f, g)
+        while True:
+            q, r = fp_divmod(p, f, g)
+            if r:
+                g = fp_gcd(p, g, r)  # gcd(g, f)
+                if len(g) == 1:
                     break
-                f, e = q, e + 1
-            out.append((irr, e))
+                q, _ = fp_divmod(p, f, g)
+            e += 1
+            yield d, g, e
+            f = q
         w = fp_rem(p, w, f)
-    return out
 
 
 def _candidate_split_polys(p: int):
@@ -353,16 +393,24 @@ def _edf(p, f, d):
         return [f]
     e = (p ** d - 1) // 2
     for u in _candidate_split_polys(p):
-        g = fp_gcd(p, u, f)
+        g = fp_gcd(p, f, u)
         if 1 < len(g) < len(f):
             rest, _ = fp_divmod(p, f, g)
             return _edf(p, g, d) + _edf(p, rest, d)
         s = fp_pow_mod(p, u, e, f)
-        g = fp_gcd(p, fp_sub(p, s, [1]), f)
+        g = fp_gcd(p, f, fp_sub(p, s, [1]))
         if 1 < len(g) < len(f):
             rest, _ = fp_divmod(p, f, g)
             return _edf(p, g, d) + _edf(p, rest, d)
     raise InternalError("equal-degree splitting ran out of candidates")
+
+
+def _monic_mod(F: Poly, p: int):
+    """(lead, monic f) for F modulo p, F p-integral and nonzero mod p."""
+    f = list(reduce_poly(F, p))
+    if not f:
+        raise ValueError("cannot factor the zero polynomial")
+    return f[-1], f if f[-1] == 1 else fp_monic(p, f)
 
 
 def factor_mod_p(F: Poly, p: int):
@@ -373,14 +421,42 @@ def factor_mod_p(F: Poly, p: int):
     trimmed tuple of ascending coefficients of a monic irreducible over
     F_p, sorted by degree then by coefficient tuple.
     """
-    fb = reduce_poly(F, p)
-    if not fb:
-        raise ValueError("cannot factor the zero polynomial")
-    found = _ddf(p, fp_monic(p, list(fb)))
-    factors = sorted(
-        ((tuple(g), e) for g, e in found), key=lambda t: (len(t[0]), t[0])
+    unit, f = _monic_mod(F, p)
+    parts = list(_ddf(p, f))
+    factors = []
+    for (d, g, e), (d_next, g_next, _) in zip(parts, parts[1:] + [(0, None, 0)]):
+        if d_next == d:
+            # the factors that divide f exactly e times; g_next divides g
+            g = fp_divmod(p, g, g_next)[0] if len(g_next) < len(g) else [1]
+        if len(g) > 1:
+            factors += ((tuple(irr), e) for irr in _edf(p, g, d))
+    factors.sort(key=lambda t: (len(t[0]), t[0]))
+    return unit, tuple(factors)
+
+
+def factor_degrees_mod_p(F: Poly, p: int) -> tuple:
+    """Degrees of the irreducible factors of F modulo p, ascending.
+
+    Each degree appears once per factor and multiplicity, as in
+    `factor_mod_p`, but no factor is split off: a product of distinct
+    degree-d irreducibles holds deg/d of them.
+    """
+    return tuple(
+        d for d, g, _ in _ddf(p, _monic_mod(F, p)[1]) for _ in range((len(g) - 1) // d)
     )
-    return fb[-1], tuple(factors)
+
+
+def irreducible_mod_p(F: Poly, p: int) -> bool:
+    """Is F modulo p irreducible (one factor, multiplicity 1)?
+
+    The distinct-degree factorization stops at its first nontrivial gcd,
+    or at the remainder past deg F / 2; F is irreducible exactly when
+    that part is F itself.  A repeated factor has degree at most
+    deg F / 2, so it is found before then.
+    """
+    f = _monic_mod(F, p)[1]
+    first = next(_ddf(p, f), None)
+    return first is not None and first[0] == len(f) - 1
 
 
 # ---------------------------------------------------------------------------

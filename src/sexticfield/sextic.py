@@ -67,12 +67,14 @@ from .exact import (
 )
 from .poly import (
     Poly,
+    factor_degrees_mod_p,
     factor_mod_p,
     fp_add,
     fp_divmod,
     fp_inverse_mod,
     fp_mul,
     fp_sub,
+    irreducible_mod_p,
     trinomial,
 )
 
@@ -724,8 +726,11 @@ def irreducibility_check(field: TrinomialField) -> IrreducibilityReport:
     factor-degree patterns modulo primes not dividing D; finally one
     Hensel lift of the factorization of f modulo a prime p not dividing
     D and an exhaustive search over the products of its lifted factors
-    (Zassenhaus).  f is factored modulo each prime at most once.  Every
-    answer is proven; b is never factored.
+    (Zassenhaus).  The direct rung stops each distinct-degree
+    factorization modulo p at its first nontrivial gcd, the pattern rung
+    counts factor degrees without splitting them, and only the Hensel
+    prime, the one with the fewest factors (the smallest on a tie), is
+    factored completely.  Every answer is proven; b is never factored.
     """
     a, b = field.a, field.b
     f = field.f
@@ -769,27 +774,32 @@ def irreducibility_check(field: TrinomialField) -> IrreducibilityReport:
             f"by {forced}, and no degree-{forced} factor exists"
         )
 
-    mod = {}  # p -> factors of f modulo p, for primes p not dividing D
+    # primes not dividing D that a rung looked at, all in ascending order
+    tried = []
+    degrees = {}  # p -> factor degrees of f modulo p, for p in tried
 
-    def factors_mod(p):
-        if p not in mod:
-            mod[p] = factor_mod_p(f, p)[1]
-        return mod[p]
+    def degrees_mod(p):
+        if p not in degrees:
+            degrees[p] = factor_degrees_mod_p(f, p)
+        return degrees[p]
 
     if ramified is None:
-        # f mod p is squarefree for p not dividing D, so one factor
-        # means irreducible
+        # a monic f that is irreducible modulo a prime is irreducible
         for p in _DIRECT_PRIMES:
-            if field.D % p and len(factors_mod(p)) == 1:
-                return IrreducibilityReport("irreducible", f"irreducible modulo {p}")
+            if field.D % p:
+                tried.append(p)
+                if irreducible_mod_p(f, p):
+                    return IrreducibilityReport("irreducible", f"irreducible modulo {p}")
 
     used = 0
     for p in _SIEVE_PRIMES:
         if field.D % p == 0:
             continue
+        if p not in tried:
+            tried.append(p)
         sums = {0}
-        for g, _ in factors_mod(p):
-            sums |= {s + len(g) - 1 for s in sums}
+        for dgr in degrees_mod(p):
+            sums |= {s + dgr for s in sums}
         possible &= sums
         used += 1
         if not possible or used >= 8:
@@ -801,14 +811,15 @@ def irreducibility_check(field: TrinomialField) -> IrreducibilityReport:
         )
 
     need = sorted({min(dgr, 6 - dgr) for dgr in possible})
-    if mod:
-        p = min(mod, key=lambda q: len(mod[q]))
+    if tried:
+        # fewest factors, the smallest prime on a tie
+        p = min(tried, key=lambda q: len(degrees_mod(q)))
     else:
         p = next(q for q in itertools.count(101) if field.D % q and is_prime(q))
     # Fujiwara's bound R on the roots; a monic factor of degree <= 3
     # has coefficients of size at most 3R^3
     R = 2 * max(floor_root(abs(a), 5) + 1, floor_root(abs(b), 6) + 1)
-    witness = _lifted_factor(f, factors_mod(p), p, need, 3 * R ** 3)
+    witness = _lifted_factor(f, factor_mod_p(f, p)[1], p, need, 3 * R ** 3)
     if witness is not None:
         return IrreducibilityReport(
             "reducible", f"explicit degree-{witness.degree} factor", witness

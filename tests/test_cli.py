@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from sexticfield import cli
 from sexticfield.basis import Assembly, IntegralBasis, assemble
 from sexticfield.cli import run
+from sexticfield.exact import floor_root
 from sexticfield.sextic import CASE_LABELS, normalize, p_integral_basis
 
 from casegen import instance
@@ -120,6 +121,37 @@ def test_usage_errors_exit_64(capsys):
         assert code == 64
         assert out == ""
         assert err != ""
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="no integer-to-string limit before Python 3.10.7",
+)
+def test_digit_limit_boundary(capsys):
+    """|D| = 10^limit - 1 prints and 10^limit exits 64, at a lowered limit."""
+    limit = sys.int_info.str_digits_check_threshold  # the lowest allowed
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for D in (10 ** limit - 1, -(10 ** limit - 1)):
+            cli._check_printable(D)
+        for D in (10 ** limit, -(10 ** limit)):
+            with pytest.raises(cli.UsageError):
+                cli._check_printable(D)
+        # b = 0 gives D = 3125 a^6, below 10^limit at a and not at a + 1
+        a = floor_root((10 ** limit - 1) // 3125, 6)
+        assert 3125 * a ** 6 < 10 ** limit <= 3125 * (a + 1) ** 6
+        code, out, err = _capture(capsys, ["--a", str(a), "--b", "0", "--json"])
+        assert code == 2 and err == ""
+        assert json.loads(out)["discriminant"]["value"] == str(3125 * a ** 6)
+        code, out, err = _capture(capsys, ["--a", str(a + 1), "--b", "0", "--json"])
+        assert code == 64 and out == ""
+        assert f"more than {limit} digits" in err
+    finally:
+        sys.set_int_max_str_digits(saved)
+    # the default limit applies again once it is restored
+    code, _, _ = _capture(capsys, ["--a", str(a + 1), "--b", "0", "--json"])
+    assert code == 2
 
 
 def test_help_exits_0_through_main(capsys, monkeypatch):

@@ -59,6 +59,9 @@ PROTOCOL = {
     "Poly.__neg__": "unary minus calls it: -other in Poly.__sub__",
     "Poly.__sub__": "binary minus calls it: X - t0 in cli._prime_entry",
     "Poly.__call__": "a call calls it: f(r) in sextic.irreducibility_check",
+    "Poly.__reduce__": "pickle and copy call it, and so does deepcopy of the "
+                       "records that hold a Poly; it rebuilds the Poly through "
+                       "its class",
     "Poly.__repr__": "repr() calls it, in assertion messages for one",
     "Record.__init__": "constructing any record calls it",
     "Record.__setattr__": "every attribute assignment calls it; it keeps "

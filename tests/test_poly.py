@@ -13,6 +13,7 @@ from polyref import poly_mul, poly_pow
 from sexticfield.poly import (
     Poly,
     X,
+    factor_degrees_mod_p,
     factor_mod_p,
     fp_add,
     fp_divmod,
@@ -21,8 +22,10 @@ from sexticfield.poly import (
     fp_monic,
     fp_mul,
     fp_pow_mod,
+    fp_rem,
     fp_sub,
     gauss_valuation,
+    irreducible_mod_p,
     is_integral,
     phi_expansion,
     reduce_poly,
@@ -246,6 +249,95 @@ def test_factor_mod_p_nonmonic_unit():
         assert f[-1] == 1
         prod = poly_mul(prod, poly_pow(Poly(f), e))
     assert reduce_poly(prod, 7) == reduce_poly(Poly((2, 0, 4)), 7)
+
+
+_PRIMES_TO_101 = [p for p in range(2, 102) if sympy.isprime(p)]
+
+
+def _draw_mod_p(rng):
+    """(F, p): p a prime <= 101, F of degree 1..8 with a unit lead mod p.
+
+    Half the draws multiply a square into F, so F mod p has a repeated
+    factor unless the squared part is a unit.
+    """
+    p = rng.choice(_PRIMES_TO_101)
+
+    def part(deg):  # coefficients outside [0, p) too
+        return Poly([rng.randint(-p, 2 * p) for _ in range(deg)] + [rng.randrange(1, p)])
+
+    deg = rng.randint(1, 8)
+    if deg >= 2 and rng.random() < 0.5:
+        k = rng.randint(1, deg // 2)
+        return poly_mul(poly_pow(part(k), 2), part(deg - 2 * k)), p
+    return part(deg), p
+
+
+def check_degree_modes(count, seed):
+    """The three uses of the distinct-degree factorization against sympy.
+
+    On `count` seeded draws: `factor_mod_p` equals sympy's factorization
+    mod p, `factor_degrees_mod_p` equals the sorted factor degrees
+    counted with multiplicity, and `irreducible_mod_p` holds exactly for
+    one factor of multiplicity 1.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        F, p = _draw_mod_p(rng)
+        want = sympy_factors_mod_p(F, p)
+        unit, facs = factor_mod_p(F, p)
+        assert unit == F.coeffs[-1] % p, (F, p)
+        assert sorted(facs, key=lambda t: (len(t[0]) - 1, t[0])) == want, (F, p)
+        degrees = tuple(sorted(len(g) - 1 for g, e in want for _ in range(e)))
+        assert factor_degrees_mod_p(F, p) == degrees, (F, p)
+        assert irreducible_mod_p(F, p) == (len(want) == 1 and want[0][1] == 1), (F, p)
+
+
+def test_degree_modes_agree():
+    check_degree_modes(400, 1)
+
+
+def test_degree_modes_edges():
+    # a squared irreducible cubic: no part below degree 3, one repeated
+    g = Poly((1, 1, 0, 1))  # x^3 + x + 1, irreducible mod 2
+    assert irreducible_mod_p(g, 2)
+    assert not irreducible_mod_p(poly_mul(g, g), 2)
+    assert factor_degrees_mod_p(poly_mul(g, g), 2) == (3, 3)
+    # x^4 + 1 mod 3 is a product of two irreducible quadratics: its first
+    # distinct-degree part is all of it, yet it is reducible
+    assert factor_degrees_mod_p(Poly((1, 0, 0, 0, 1)), 3) == (2, 2)
+    assert not irreducible_mod_p(Poly((1, 0, 0, 0, 1)), 3)
+    # units are no irreducibles and have no factors
+    assert not irreducible_mod_p(Poly((3,)), 7)
+    assert factor_degrees_mod_p(Poly((3,)), 7) == ()
+    for fn in (factor_mod_p, factor_degrees_mod_p, irreducible_mod_p):
+        with pytest.raises(ValueError):
+            fn(Poly((7, 14)), 7)
+
+
+def test_fp_pow_mod_matches_repeated_products():
+    rng = random.Random(7)
+    for _ in range(200):
+        p = rng.choice((2, 3, 7, 37, 101))
+        mod = [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1]
+        base = [0, 1] if rng.random() < 0.5 else [rng.randrange(p) for _ in range(8)]
+        e = rng.randint(0, 3 * p)
+        want = [1]
+        for _ in range(e):
+            want = fp_rem(p, fp_mul(p, want, base), mod)
+        assert fp_pow_mod(p, base, e, mod) == fp_rem(p, want, mod), (p, base, e, mod)
+
+
+def test_fp_rem_matches_fp_divmod():
+    rng = random.Random(5)
+    for _ in range(300):
+        p = rng.choice((2, 3, 7, 25, 101))
+        a = [rng.randint(-3 * p, 3 * p) for _ in range(rng.randint(0, 9))]
+        b = [rng.randrange(p) for _ in range(rng.randint(0, 4))] + [rng.randrange(1, p)]
+        if p == 25 and b[-1] % 5 == 0:
+            continue  # a lead that is no unit mod 25
+        assert fp_rem(p, a, b) == fp_divmod(p, a, b)[1]
+    with pytest.raises(ZeroDivisionError):
+        fp_rem(5, [1], [])
 
 
 def test_poly_gcd_mod_p():

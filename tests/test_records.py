@@ -8,7 +8,7 @@ import pytest
 from sexticfield.basis import assemble
 from sexticfield.exact import Record
 from sexticfield.newton import build_polygon
-from sexticfield.poly import X
+from sexticfield.poly import Poly, X
 from sexticfield.sextic import irreducibility_check, normalize
 from sexticfield.verify import OrderPresentation
 
@@ -105,3 +105,29 @@ def test_the_nine_records():
                 hash(r)
         else:
             assert hash(rebuilt) == hash(r)
+
+
+def test_poly_and_the_records_that_hold_one_copy_and_pickle():
+    field = normalize(4, 4)
+    values = [
+        Poly((1, 2)),
+        Poly(()),
+        field.f,  # a Poly with int coefficients
+        Poly((1, 0, 2)).divmod_by(Poly((0, 3)))[0],  # Fraction coefficients
+        field,  # TrinomialField
+        build_polygon(field.f, X, 2),  # NewtonPolygon
+        irreducibility_check(normalize(2, 1)),  # IrreducibilityReport with a witness
+    ]
+    assert values[-1].witness == Poly((1, 1))
+    for value in values:
+        for clone in (
+            copy.copy(value),
+            copy.deepcopy(value),
+            pickle.loads(pickle.dumps(value)),
+        ):
+            assert clone == value and type(clone) is type(value)
+            assert hash(clone) == hash(value)
+    # a rebuilt Poly is as immutable as the original
+    clone = copy.deepcopy(Poly((1, 2)))
+    with pytest.raises(AttributeError):
+        clone.coeffs = (3,)

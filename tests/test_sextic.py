@@ -540,6 +540,57 @@ def test_irreducibility_beyond_the_sieve_primes():
     )
 
 
+# (a, b) -> (method, witness coefficients or None), one or more fields
+# ending at each rung of the ladder; the status follows from the witness
+_LADDER_PINS = {
+    (0, 12): ("binomial criterion: -b is neither a square nor a cube", None),
+    (0, 8): ("binomial criterion", (2, 0, 1)),
+    (2, 1): ("rational root", (1, 1)),
+    (-40, -40): (
+        "ramification at 2, 5 forces factor degrees divisible by 6, "
+        "beyond any proper splitting", None,
+    ),
+    # narrowed by ramification, settled by the degree patterns
+    (-40, -36): (
+        "ramification at 2 forces factor degrees divisible by 3, "
+        "and no degree-3 factor exists", None,
+    ),
+    # narrowed by ramification, settled by the Hensel lift modulo 7
+    (13257408, 36841224028491259417702852952): (
+        "ramification at 2 forces factor degrees divisible by 2, "
+        "and no degree-2 factor exists", None,
+    ),
+    (-40, -37): ("irreducible modulo 3", None),
+    (-40, -39): ("irreducible modulo 17", None),  # reducible modulo 3 .. 13
+    (-40, -29): ("factor-degree patterns modulo small primes are incompatible", None),
+    # two factors modulo 13, 17, 19 and 31 and three or more below 13:
+    # the tie goes to the smallest prime
+    (-40, -21): (
+        "no factor of degree 2 exists "
+        "(exhaustive search over Hensel lifts modulo 13)", None,
+    ),
+    (-25, 34): (
+        "no factor of degree 2 exists "
+        "(exhaustive search over Hensel lifts modulo 7)", None,
+    ),
+    (-40, 16): ("explicit degree-1 factor", (-2, 1)),  # lifted modulo 29
+    (-33, 20): ("explicit degree-2 factor", (4, -1, 1)),
+    (-10, -33): ("explicit degree-2 factor", (3, 2, 1)),  # a tie at 23, 29, 31
+    (-16, 16): ("explicit degree-3 factor", (-4, 0, 2, 1)),
+}
+
+
+def test_irreducibility_method_pins():
+    for (a, b), (method, witness) in _LADDER_PINS.items():
+        rep = irreducibility_check(normalize(a, b))
+        assert rep.method == method, (a, b, rep.method)
+        if witness is None:
+            assert rep.status == "irreducible" and rep.witness is None, (a, b)
+        else:
+            assert rep.status == "reducible", (a, b)
+            assert rep.witness == Poly(witness), (a, b, rep.witness)
+
+
 def test_irreducibility_witnesses_verify():
     # For any u, w there is a unique monic quartic cofactor making
     # (x^2 + u*x + w) * quartic a trinomial; sweep small parameters.
