@@ -16,9 +16,9 @@ block that divides n.  Perfect powers are found with exact integer
 roots, and what remains goes to Brent's rho under an iteration budget.
 There are no matrix inverses or determinants over Fractions: the
 verification layer works with integer triangular solves, Berkowitz
-characteristic polynomials, fraction-free determinants and eliminations
-mod p instead.  No floating point is used anywhere except the
-`math.inf` sentinel for the valuation of zero.
+characteristic polynomials, determinants of triangular matrices and
+eliminations mod p instead.  No floating point is used anywhere except
+the `math.inf` sentinel for the valuation of zero.
 """
 
 from __future__ import annotations

@@ -7,12 +7,14 @@ integrality test for algebraic numbers given in root-power coordinates
 (their characteristic polynomials by division-free Berkowitz on the
 integer multiplication matrix, run modulo t^n for an element over
 denominator t, and skipped for t = 1), and factoring modulo a prime.
-One distinct-degree factorization (DDF) serves every p and three
-uses: `factor_mod_p` splits each of its parts into irreducibles by
+One distinct-degree factorization (DDF), `fp_ddf`, serves every p and
+four uses: `factor_mod_p` splits each of its parts into irreducibles by
 equal-degree splitting; `factor_degrees_mod_p` reads the factor
-degrees off the parts with no split; and `irreducible_mod_p` stops at
+degrees off the parts with no split; `irreducible_mod_p` stops at
 the first part, so a reducible polynomial costs only the degrees up to
-its first nontrivial gcd.
+its first nontrivial gcd; and the Dedekind criterion of `verify`
+multiplies the parts into the product of the distinct irreducible
+factors and its cofactor, with no split.
 
 Arithmetic in F_p[x] is one kernel on plain int lists: every `fp_*`
 helper takes the prime p first and lists of ascending coefficients in
@@ -330,7 +332,7 @@ def reduce_poly(F: Poly, p: int) -> tuple:
 # factorization over F_p
 
 
-def _ddf(p, f):
+def fp_ddf(p, f):
     """Distinct-degree factorization of a monic f over F_p, lazily.
 
     Yields (d, g, e), lowest d first and, for each d, e = 1, 2, ...: g
@@ -422,7 +424,7 @@ def factor_mod_p(F: Poly, p: int):
     F_p, sorted by degree then by coefficient tuple.
     """
     unit, f = _monic_mod(F, p)
-    parts = list(_ddf(p, f))
+    parts = list(fp_ddf(p, f))
     factors = []
     for (d, g, e), (d_next, g_next, _) in zip(parts, parts[1:] + [(0, None, 0)]):
         if d_next == d:
@@ -442,7 +444,7 @@ def factor_degrees_mod_p(F: Poly, p: int) -> tuple:
     degree-d irreducibles holds deg/d of them.
     """
     return tuple(
-        d for d, g, _ in _ddf(p, _monic_mod(F, p)[1]) for _ in range((len(g) - 1) // d)
+        d for d, g, _ in fp_ddf(p, _monic_mod(F, p)[1]) for _ in range((len(g) - 1) // d)
     )
 
 
@@ -455,7 +457,7 @@ def irreducible_mod_p(F: Poly, p: int) -> bool:
     deg F / 2, so it is found before then.
     """
     f = _monic_mod(F, p)[1]
-    first = next(_ddf(p, f), None)
+    first = next(fp_ddf(p, f), None)
     return first is not None and first[0] == len(f) - 1
 
 

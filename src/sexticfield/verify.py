@@ -17,11 +17,15 @@ every p, so the tests can check that they agree there.
 
 All of it is arithmetic on plain int lists.  The ring table is the
 integer convolution of two rows reduced by the monic f, with coordinates
-from one triangular back-substitution with exact division.  For Cohen's
-test one elimination over F_p gives kernels and, since the radical
-contains pO, its HNF basis from the pivot rows; the image sums rows of
-the table and back-substitutes inline against that basis.  The Dedekind
-criterion works mod p^2 on the F_p[x] kernel of `poly`.
+from one triangular back-substitution with exact division.  The
+transition determinant is the product of the numerators' leading
+coefficients, since they are triangular.  For Cohen's test one
+elimination over F_p of the Frobenius rows gives the nilpotents, and
+since the radical contains pO its HNF rows are those kernel vectors
+themselves; the image sums rows of the table and back-substitutes
+inline against that basis.  The Dedekind criterion works mod p^2 on the
+F_p[x] kernel of `poly`, from the distinct-degree parts of f mod p with
+no factor split.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import math
 
 from .exact import InternalError, Record
-from .poly import Poly, convolve, factor_mod_p, fp_gcd, fp_mul, fp_sub
+from .poly import Poly, convolve, fp_ddf, fp_gcd, fp_mul, fp_sub, reduce_poly
 
 __all__ = [
     "OrderPresentation",
@@ -134,50 +138,27 @@ class OrderPresentation(Record):
         return tuple(out)
 
 
-def _determinant(rows):
-    """Determinant of a square integer matrix by Bareiss elimination.
-
-    Every entry computed is a minor of the input, so each division is
-    exact (Bareiss, Math. Comp. 22 (1968)); a zero pivot is swapped with
-    a row below it, which flips the sign.
-    """
-    M = [list(r) for r in rows]
-    n = len(M)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not M[k][k]:
-            s = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if s is None:
-                return 0
-            M[k], M[s] = M[s], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[-1][-1]
-
-
 def lattice_index(basis) -> int:
     """Index of the power-basis lattice inside the one spanned by `basis`.
 
     With basis elements g_i/t_i this is prod(t_i) / |det N|, N the matrix
-    of numerator rows g_i, and det N from fraction-free elimination; so
-    it is an oracle independent of the denominators' bookkeeping.
-    Accepts anything with element(i) -> (numerator Poly, denominator).
+    of numerator rows g_i.  Each g_i must have degree i, so N is
+    triangular and det N is the product of its diagonal; the oracle is
+    independent of the denominators' bookkeeping.  Raises ValueError on a
+    numerator of another degree.  Accepts anything with element(i) ->
+    (numerator Poly, denominator).
     """
-    numerators = []
-    scale = 1
+    det = scale = 1
     for i in range(6):
         g, t = basis.element(i)
-        numerators.append(tuple(g[j] for j in range(6)))
+        if g.degree != i:
+            raise ValueError(f"numerator {i} has degree {g.degree}: "
+                             "the basis is not triangular")
+        det *= g[i]
         scale *= t
-    det = abs(_determinant(numerators))
-    if not det:
-        raise ValueError("degenerate basis")
     if scale % det:
         raise InternalError("transition determinant is not a unit fraction")
-    return scale // det
+    return scale // abs(det)
 
 
 def dedekind_maximal_at_p(f: Poly, p: int) -> bool:
@@ -185,16 +166,19 @@ def dedekind_maximal_at_p(f: Poly, p: int) -> bool:
 
     The classical criterion: with f = prod(g_i^e_i) mod p, put
     g = prod(g_i), h = prod(g_i^(e_i - 1)), T = (g*h - f)/p; the power
-    order is p-maximal iff gcd(T, g, h) = 1 mod p.
+    order is p-maximal iff gcd(T, g, h) = 1 mod p.  No factor is split:
+    the distinct-degree parts of f with multiplicity index 1 multiply to
+    g, the rest to h.  Any lifts of g and h give the same verdict, since
+    changing them moves T by an element of (g, h).  f must be monic.
     """
-    _, factors = factor_mod_p(f, p)
     # T mod p needs g*h - f only mod p^2
     q = p * p
     g, h = [1], [1]
-    for gbar, e in factors:
-        g = fp_mul(q, g, gbar)
-        for _ in range(e - 1):
-            h = fp_mul(q, h, gbar)
+    for _, part, e in fp_ddf(p, list(reduce_poly(f, p))):
+        if e == 1:
+            g = fp_mul(q, g, part)
+        else:
+            h = fp_mul(q, h, part)
     diff = fp_sub(q, fp_mul(q, g, h), f.coeffs)
     if any(c % p for c in diff):
         raise InternalError("lifted factorization does not match mod p")
@@ -203,32 +187,32 @@ def dedekind_maximal_at_p(f: Poly, p: int) -> bool:
     return len(fp_gcd(p, d, T)) == 1
 
 
-def _eliminate_mod_p(rows, p):
-    """Echelon rows and left kernel {x : sum_j x_j * rows[j] = 0} over F_p.
+def _left_kernel_mod_p(rows, p):
+    """Left kernel {x : sum_j x_j * rows[j] = 0} over F_p, by row index.
 
     Each row, with a unit vector appended that records how it was
-    combined, is reduced against the pivot rows in the order they were
-    inserted.  A row that vanishes leaves a kernel vector in the
-    appended part; any other becomes a pivot row, scaled to 1 at its
-    last nonzero column.  Returns ({pivot column: pivot row}, kernel).
+    combined, is reduced against the pivot rows before it.  A row j that
+    vanishes leaves the kernel vector of key j in the appended part:
+    e_j plus multiples of the earlier pivot rows' records, which live on
+    pivot indices below j.  So it is 1 at j and 0 at every other key.
     """
     n = len(rows)
-    pivots = {}  # pivot column -> row scaled to 1 there, in insertion order
-    kernel = []
+    pivots = []  # (pivot column, row scaled to 1 there)
+    kernel = {}
     for j, row in enumerate(rows):
         width = len(row)
         row = [x % p for x in row] + [int(i == j) for i in range(n)]
-        for c, b in pivots.items():
+        for c, b in pivots:
             if row[c]:
                 t = row[c]
                 row = [(x - t * y) % p for x, y in zip(row, b)]
-        c = next((c for c in range(width - 1, -1, -1) if row[c]), None)
+        c = next((c for c in range(width) if row[c]), None)
         if c is None:
-            kernel.append(tuple(row[width:]))
+            kernel[j] = tuple(row[width:])
         else:
             t = pow(row[c], -1, p)
-            pivots[c] = [x * t % p for x in row]
-    return {c: tuple(b[:-n]) for c, b in pivots.items()}, kernel
+            pivots.append((c, [x * t % p for x in row]))
+    return kernel
 
 
 def _frobenius_power_rows(order: OrderPresentation, p: int):
@@ -264,21 +248,20 @@ def maximality_test(order: OrderPresentation, p: int) -> bool:
     over F_p must have a trivial left kernel.
     """
     BI = _radical_basis(order, p)
-    return not _eliminate_mod_p(_radical_image(order, BI), p)[1]
+    return not _left_kernel_mod_p(_radical_image(order, BI), p)
 
 
 def _radical_basis(order: OrderPresentation, p: int):
     """HNF basis of the p-radical: pO plus the nilpotents of O/pO.
 
-    Row c is the echelon row of the nilpotents that ends at column c, or
-    p * e_c where none does.  No back-reduction is needed: each kernel
-    vector is e_j plus coordinates below j, so forward elimination
-    already leaves the echelon rows at 0 on one another's pivots.
+    The nilpotents are the left kernel of the Frobenius rows, and its
+    vector of key c is already the HNF row of column c: 1 at c, 0 at
+    every other kernel index, reduced mod p at the pivot indices below
+    c, where the HNF rows are p * e_c.
     """
-    nilpotents = _eliminate_mod_p(_frobenius_power_rows(order, p), p)[1]
-    echelon = _eliminate_mod_p(nilpotents, p)[0]
+    kernel = _left_kernel_mod_p(_frobenius_power_rows(order, p), p)
     return tuple(
-        echelon.get(c, tuple(p * int(i == c) for i in range(6)))
+        kernel.get(c, tuple(p * int(i == c) for i in range(6)))
         for c in range(6)
     )
 

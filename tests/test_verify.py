@@ -2,18 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import polyref
 from casegen import all_labels, instance
-from fracmat import char_poly_of_element, mat_det, mat_inv
+from fracmat import char_poly_of_element, mat_inv
 from sexticfield.basis import assemble, combine
 from sexticfield.exact import InternalError, factor
 from sexticfield.poly import Poly, is_integral, trinomial
 from sexticfield.sextic import normalize, p_integral_basis
 from sexticfield.verify import (
     OrderPresentation,
-    _determinant,
-    _eliminate_mod_p,
+    _left_kernel_mod_p,
     _radical_basis,
     _radical_image,
     _solve_triangular,
@@ -80,7 +80,8 @@ def test_lattice_index():
     assert lattice_index(combine([pb], field.D)) == 3 ** pb.index_valuation
 
     # the same lattice in the unimodular basis b_i + b_(i+1), b_5: the
-    # numerators are no longer triangular and prod(t_i) is not the index
+    # numerators are no longer triangular, so the diagonal is no
+    # determinant and the basis is refused
     class Mixed:
         def element(self, i):
             g, t = basis.element(i)
@@ -92,40 +93,14 @@ def test_lattice_index():
                 t * u,
             )
 
-    assert lattice_index(Mixed()) == 2 ** 3
-
-
-def test_determinant_against_fractions():
-    """Bareiss elimination equals Gaussian elimination on Fractions on
-    seeded 6 x 6 integer matrices: some with a zero leading entry, which
-    forces a row swap, some of rank below 6, and determinants of both
-    signs.  A basis with two equal numerator rows is degenerate."""
-    rng = random.Random(1968)
-    signs = set()
-    for k in range(200):
-        M = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]
-        if k % 4 == 1:
-            M[0][0] = 0
-        elif k % 4 == 2:
-            M[5] = [2 * x - y for x, y in zip(M[0], M[3])]
-        elif k % 4 == 3:
-            # zero pivots in the first two columns, so a later step swaps
-            for i in range(1, 6):
-                M[i][0] = 0
-            M[1][1] = 0
-        det = _determinant(M)
-        assert det == mat_det(M), M
-        signs.add((det > 0) - (det < 0))
-    assert signs == {-1, 0, 1}
-
-    basis = assemble(normalize(0, 12)).basis
-
+    # a degenerate basis, with two equal numerator rows
     class Twice:
         def element(self, i):
             return basis.element(min(i, 4))
 
-    with pytest.raises(ValueError, match="degenerate basis"):
-        lattice_index(Twice())
+    for bad in (Mixed(), Twice()):
+        with pytest.raises(ValueError, match="not triangular"):
+            lattice_index(bad)
 
 
 def test_dedekind_criterion():
@@ -239,6 +214,70 @@ def test_solve_triangular_against_inverse():
                 assert got == tuple(want)
             else:
                 assert got is None
+
+
+def _draw_for_dedekind(rng):
+    """(F, p): p a prime up to 13, F monic of degree 2 to 8.
+
+    F is a product of random monic factors, each raised to a power from
+    1 to 3 (so p-th powers at 2 and 3 are among them), plus p times a
+    random polynomial of lower degree.  The factors need not be
+    irreducible or coprime mod p, and their coefficients run outside
+    [0, p), so neither the factorization nor its lifts are known.
+    """
+    p = rng.choice((2, 3, 5, 7, 11, 13))
+    n = rng.randint(2, 8)
+    F = Poly((1,))
+    while F.degree < n:
+        e = rng.randint(1, min(3, n - F.degree))
+        d = rng.randint(1, (n - F.degree) // e)
+        part = Poly([rng.randint(-p, 2 * p) for _ in range(d)] + [1])
+        F = polyref.poly_mul(F, polyref.poly_pow(part, e))
+    return F + Poly([p * rng.randint(-p, p) for _ in range(n)]), p
+
+
+def _dedekind_by_sympy(F, p):
+    """Dedekind's criterion on sympy's factorization of F mod p.
+
+    g is the product of the lifted distinct irreducible factors, h the
+    product of their lifts to the power e - 1, T = (g*h - F)/p, and the
+    power order is p-maximal iff gcd(T, g, h) = 1 mod p.
+    """
+    x = sympy.Symbol("x")
+    f = sympy.Poly(list(reversed(F.coeffs)), x)
+    g = h = sympy.Poly(1, x)
+    for phi, e in sympy.Poly(f, modulus=p).factor_list()[1]:
+        lift = sympy.Poly([int(c) % p for c in phi.all_coeffs()], x)
+        g, h = g * lift, h * lift ** (e - 1)
+    T = (g * h - f).exquo_ground(p)
+    d = sympy.Poly(g, modulus=p).gcd(sympy.Poly(h, modulus=p))
+    return d.gcd(sympy.Poly(T, modulus=p)).degree() == 0
+
+
+def check_dedekind_agreement(count, seed):
+    """On `count` seeded draws, `dedekind_maximal_at_p` equals the
+    criterion evaluated on sympy's factorization mod p, which shares no
+    F_p[x] code with the package.  Returns [how many draws are not
+    p-maximal, how many are].  CI runs 20,000 draws as a step of its own
+    with
+
+        python -c "import sys; sys.path[:0] = ['tests'];
+                   from test_verify import check_dedekind_agreement;
+                   check_dedekind_agreement(20000, 1)"
+    """
+    rng = random.Random(seed)
+    verdicts = [0, 0]
+    for _ in range(count):
+        F, p = _draw_for_dedekind(rng)
+        got = dedekind_maximal_at_p(F, p)
+        assert got == _dedekind_by_sympy(F, p), (F, p)
+        verdicts[got] += 1
+    return verdicts
+
+
+def test_dedekind_agrees_with_sympy():
+    not_maximal, maximal = check_dedekind_agreement(300, 1)
+    assert not_maximal >= 30 and maximal >= 30
 
 
 def test_dedekind_agrees_with_case_tables():
@@ -381,7 +420,10 @@ def test_radical_image_refuses_a_lattice_that_is_no_ideal():
 
 def test_left_kernel_against_gauss_jordan():
     """The left kernel spans the same subspace as the Gauss-Jordan kernel
-    of the transpose: equal dimension, and equal lattices p*Z^n + span."""
+    of the transpose: equal dimension, and equal lattices p*Z^n + span.
+    Each kernel vector is 1 at its own row index and 0 at every other
+    kernel row's index, which makes the kernel vectors of the Frobenius
+    rows the radical's HNF rows."""
     rng = random.Random(1729)
     for _ in range(200):
         p = rng.choice((2, 3, 5, 7))
@@ -393,10 +435,12 @@ def test_left_kernel_against_gauss_jordan():
              for c in range(width)]
             for _ in range(6)
         ]
-        got = _eliminate_mod_p(rows, p)[1]
-        for x in got:
-            assert all(sum(x[j] * rows[j][c] for j in range(6)) % p == 0
+        kernel = _left_kernel_mod_p(rows, p)
+        for j, x in kernel.items():
+            assert all(sum(x[i] * rows[i][c] for i in range(6)) % p == 0
                        for c in range(width))
+            assert [x[i] for i in kernel] == [int(i == j) for i in kernel]
+        got = list(kernel.values())
         want = polyref.kernel_mod_p([list(col) for col in zip(*rows)], p)
         assert len(got) == len(want)
         lattice = [[p * int(i == j) for j in range(6)] for i in range(6)]
