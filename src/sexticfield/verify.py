@@ -9,11 +9,13 @@ power order through the classical gcd criterion, and p-maximality of an
 arbitrary order through Cohen's criterion on the p-radical.  Agreement
 between these oracles and the table-driven pipeline is what the test
 suite leans on.  The CLI reports a lattice that `OrderPresentation`
-refuses as a failed ring_closure check, and calls the two maximality
-oracles only at primes with v_p(D) >= 2: at the others the index
-relation D = [O_K : Z[theta]]^2 * d_K already makes Z[theta]
-p-maximal, so it lists no check there.  Both oracles stay complete for
-every p, so the tests can check that they agree there.
+refuses as a failed ring_closure check, and calls one maximality
+oracle at each prime with v_p(D) >= 2: the gcd criterion where the
+table's k is 0, so that the order is Z[theta] at p, and Cohen's
+criterion where k > 0.  At the other primes the index relation
+D = [O_K : Z[theta]]^2 * d_K already makes Z[theta] p-maximal, so it
+lists no check there.  Both oracles stay complete for every p and every
+order, so the tests can check that they agree.
 
 All of it is arithmetic on plain int lists.  The ring table is the
 integer convolution of two rows reduced by the monic f, with coordinates

@@ -28,10 +28,11 @@ verifier.  It asserts:
     `oracles.pure_sextic_discriminant`;
   * the verification block lists exactly its mode's checks: none under
     `none`, `basis_rows_integral` under `basic`, and under `full` also
-    `transition_determinant`, `ring_closure` and the maximality and
-    Dedekind pair at each listed prime with v_D >= 2 (at the others
-    there is nothing to decide), and all_passed is the conjunction of
-    the listed verdicts.
+    `transition_determinant`, `ring_closure` and one proof at each
+    listed prime with v_D >= 2 (at the others there is nothing to
+    decide): `dedekind_agreement_at_p` where the entry's denominators
+    are all 1, `maximality_at_p` otherwise; all_passed is the
+    conjunction of the listed verdicts.
 
 A prime hidden in an unfactored cofactor is assumed squarefree by the
 report, and nothing here can check it.  Any failed check raises
@@ -203,9 +204,10 @@ def _check_verification(ver, local):
         names.append("basis_rows_integral")
     if ver["mode"] == "full":
         names += ["transition_determinant", "ring_closure"]
-        for p, v_D, _, _ in local:
+        for p, v_D, _, dens in local:
             if v_D >= 2:
-                names += [f"maximality_at_{p}", f"dedekind_agreement_at_{p}"]
+                proof = "dedekind_agreement" if set(dens) == {1} else "maximality"
+                names.append(f"{proof}_at_{p}")
     assert [c["name"] for c in ver["checks"]] == names, "verification check names"
     assert ver["all_passed"] == all(c["passed"] for c in ver["checks"]), \
         "all_passed is not the conjunction of the checks"

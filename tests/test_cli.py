@@ -13,10 +13,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sexticfield import cli
-from sexticfield.basis import Assembly, IntegralBasis, assemble
+from sexticfield.basis import Assembly, IntegralBasis, assemble, combine
 from sexticfield.cli import run
 from sexticfield.exact import floor_root
-from sexticfield.sextic import CASE_LABELS, normalize, p_integral_basis
+from sexticfield.sextic import (
+    CASE_LABELS,
+    PAdicBasis,
+    normalize,
+    p_integral_basis,
+    reduce_triangular_rows,
+)
 
 from casegen import instance
 
@@ -283,9 +289,10 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
 
 
 def test_verify_modes(capsys):
-    """Each mode lists exactly its checks; full adds the maximality and
-    Dedekind pair only at primes with v_p(D) >= 2, so not at 8539 for
-    (4, 4), where v_8539(D) = 1."""
+    """Each mode lists exactly its checks; full adds one proof at each
+    prime with v_p(D) >= 2, so none at 8539 for (4, 4), where
+    v_8539(D) = 1: Cohen's test where k > 0 (2 for both fields), the
+    Dedekind criterion where k = 0 (3 for (0, 12))."""
     code, out, _ = _capture(
         capsys, ["--a", "0", "--b", "12", "--verify", "none"]
     )
@@ -294,9 +301,8 @@ def test_verify_modes(capsys):
 
     full = ["basis_rows_integral", "transition_determinant", "ring_closure"]
     expected = {
-        (0, 12): full + ["maximality_at_2", "dedekind_agreement_at_2",
-                         "maximality_at_3", "dedekind_agreement_at_3"],
-        (4, 4): full + ["maximality_at_2", "dedekind_agreement_at_2"],
+        (0, 12): full + ["maximality_at_2", "dedekind_agreement_at_3"],
+        (4, 4): full + ["maximality_at_2"],
     }
     for (a, b), full_names in expected.items():
         lists = {"none": [], "basic": ["basis_rows_integral"], "full": full_names}
@@ -486,7 +492,11 @@ def test_unsplit_gcd_is_factored_once(capsys, monkeypatch):
 def test_full_verify_runs_oracles_only_where_the_index_can_live(
     capsys, monkeypatch
 ):
-    """D = -(2^12 * 8539) for (4, 4): only p = 2 needs the oracles."""
+    """One oracle per prime with v_p(D) >= 2, chosen by k.
+
+    D = -(2^12 * 8539) for (4, 4): only p = 2 needs a proof, and k > 0
+    there.  For (0, 12), k > 0 at 2 and k = 0 at 3.
+    """
     seen = {"maximality": [], "dedekind": []}
 
     def counting(name, oracle):
@@ -502,13 +512,18 @@ def test_full_verify_runs_oracles_only_where_the_index_can_live(
         cli, "dedekind_maximal_at_p",
         counting("dedekind", cli.dedekind_maximal_at_p),
     )
-    code, out, err = _capture(
-        capsys, ["--a", "4", "--b", "4", "--json", "--verify", "full"]
-    )
-    assert code == 0
-    assert err == ""
-    assert out == (GOLDEN / "a4_b4_full.json").read_text()
-    assert seen == {"maximality": [2], "dedekind": [2]}
+    for (a, b), expected in {
+        (0, 12): {"maximality": [2], "dedekind": [3]},
+        (4, 4): {"maximality": [2], "dedekind": []},
+    }.items():
+        for calls in seen.values():
+            calls.clear()
+        code, out, err = _capture(
+            capsys, ["--a", str(a), "--b", str(b), "--json", "--verify", "full"]
+        )
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"a{a}_b{b}_full.json").read_text()
+        assert seen == expected, (a, b)
 
 
 def test_low_valuation_prime_in_the_index_fails_integrality(
@@ -550,7 +565,7 @@ def test_low_valuation_prime_in_the_index_fails_integrality(
 def test_lattice_that_is_no_ring_fails_ring_closure(capsys, monkeypatch):
     """A lattice that OrderPresentation refuses is a failed ring_closure
     check in a complete report, not an internal error; with no order,
-    no prime is claimed maximal."""
+    no prime with k > 0 is claimed maximal."""
 
     class NoRing:
         @staticmethod
@@ -573,9 +588,66 @@ def test_lattice_that_is_no_ring_fails_ring_closure(capsys, monkeypatch):
         {"name": "transition_determinant", "passed": True},
         {"name": "ring_closure", "passed": False},
         {"name": "maximality_at_2", "passed": False},
-        {"name": "dedekind_agreement_at_2", "passed": True},
     ]
     assert ver["all_passed"] is False
+
+
+def _plant_at_2(monkeypatch, a, b, k):
+    """Make assemble claim exponents k at 2, with the honest rows reduced
+    to the new denominators and v_p(d_K) moved to keep the index
+    relation; every other prime keeps its honest entry."""
+    field = normalize(a, b)
+    honest = assemble(field)
+    pb2, *rest = honest.per_prime
+    rows = reduce_triangular_rows(pb2.rows, [2 ** e for e in k])
+    planted = PAdicBasis(
+        p=2, case=pb2.case, params=pb2.params, k=k, rows=rows,
+        v_D=pb2.v_D, v_dK=pb2.v_D - 2 * sum(k),
+    )
+    per_prime = (planted, *rest)
+    tampered = Assembly(
+        discriminant_factors=honest.discriminant_factors,
+        per_prime=per_prime,
+        basis=combine(per_prime, field.D),
+        warnings=honest.warnings,
+    )
+    monkeypatch.setattr(cli, "assemble", lambda field, factor_budget: tampered)
+    return tampered.basis.index
+
+
+def test_claimed_power_order_at_2_fails_dedekind(capsys, monkeypatch):
+    """(4, 4) claimed as k = 0 at 2 (index 1): Z[theta] is integral and a
+    ring, but the Dedekind criterion, the one proof listed where k = 0,
+    finds it not 2-maximal."""
+    assert _plant_at_2(monkeypatch, 4, 4, (0,) * 6) == 1
+    code, out, err = _capture(
+        capsys, ["--a", "4", "--b", "4", "--json", "--verify", "full"]
+    )
+    assert (code, err) == (1, "")
+    assert json.loads(out)["verification"]["checks"] == [
+        {"name": "basis_rows_integral", "passed": True},
+        {"name": "transition_determinant", "passed": True},
+        {"name": "ring_closure", "passed": True},
+        {"name": "dedekind_agreement_at_2", "passed": False},
+    ]
+
+
+def test_order_too_small_at_2_fails_maximality(capsys, monkeypatch):
+    """(0, 12)'s E20 rows at 2 reduced for k = (0, 0, 0, 1, 1, 1): the
+    lattice of index 8 is integral and a ring, but Cohen's test, the one
+    proof listed where k > 0, finds it not 2-maximal."""
+    assert _plant_at_2(monkeypatch, 0, 12, (0, 0, 0, 1, 1, 1)) == 8
+    code, out, err = _capture(
+        capsys, ["--a", "0", "--b", "12", "--json", "--verify", "full"]
+    )
+    assert (code, err) == (1, "")
+    assert json.loads(out)["verification"]["checks"] == [
+        {"name": "basis_rows_integral", "passed": True},
+        {"name": "transition_determinant", "passed": True},
+        {"name": "ring_closure", "passed": True},
+        {"name": "maximality_at_2", "passed": False},
+        {"name": "dedekind_agreement_at_3", "passed": True},
+    ]
 
 
 def test_hidden_gcd_prime_is_classified(capsys):
