@@ -6,14 +6,17 @@ the generated number field, the index of the equation order, and the
 field discriminant — prime by prime via an explicit 87-configuration
 classification, glued together by CRT.
 
-The one-call entry point is `assemble(normalize(a, b))`; everything it
-rests on (exact integer kernels, polynomial arithmetic, the per-prime
-case tables, and the independent verification layer) and the Newton
-polygons that `--explain` draws are importable from the submodules
-re-exported here.  The package holds only code the pipeline runs; the
-oracles the test suite checks it against (the Ore/Montes index bound,
-local exponent profiles, the discriminant as a norm) are in
-`tests/oracles.py`.
+The library entry point is `normalize(a, b)`, then
+`irreducibility_check` on the field it returns and, for an irreducible
+verdict, `assemble` on the same field, as the CLI does: `assemble`
+assumes an irreducible trinomial and does not check it.  Everything
+this rests on (exact integer kernels, polynomial arithmetic, the
+per-prime case tables, and the independent verification layer) and
+the Newton polygons that `--explain` draws are importable from the
+submodules re-exported here.  The package holds only code the
+pipeline runs; the oracles the test suite checks it against (the
+Ore/Montes index bound, local exponent profiles, the discriminant as a
+norm) are in `tests/oracles.py`.
 """
 
 from .basis import Assembly, IntegralBasis, assemble, combine

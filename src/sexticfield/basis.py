@@ -129,6 +129,11 @@ class Assembly(Record):
 def assemble(field: TrinomialField, factor_budget: int = FACTOR_BUDGET) -> Assembly:
     """Factor the discriminant, treat every prime factor, and glue.
 
+    The trinomial of `field` is assumed irreducible and is not checked
+    here, so callers run `irreducibility_check` first: a reducible one,
+    such as (2, 1), still yields an index and a d_K that describe no
+    field.
+
     For p > 5 a prime dividing D and one of a, b divides both, so the
     primes of D that divide ab are those of gcd(a, b).  `normalize`
     factored the gcd under the same budget (`field.gcd_factors`), and

@@ -3,10 +3,18 @@
 Parses (a, b), normalizes, settles irreducibility, classifies every
 prime dividing the discriminant, glues the local bases, and reports the
 index and field discriminant with optional verification and JSON
-output.  Exit codes: 0 success (warnings allowed), 1 internal or
-verification failure (never a traceback), 2 the polynomial is provably
-reducible, 64 usage.  A pair whose discriminant has more decimal digits
-than the interpreter's integer-to-string limit allows
+output.  Each report section is filled in one place.  D is computed
+once, from the input; b = 0 and D = 0 (the (6s^5, 5s^6) family) are
+reducible before normalization and leave through the same exit as a
+reducible verdict of the irreducibility check.  Each prime's entry
+states its case, v_p(D), v_p(d_K), k and parameters in every mode;
+--explain adds only the Newton polygon, and the translated one where
+the case's index claim rests on it.
+
+Exit codes: 0 success (warnings allowed), 1 internal or verification
+failure (never a traceback), 2 the polynomial is provably reducible,
+64 usage.  A pair whose discriminant has more decimal digits than the
+interpreter's integer-to-string limit allows
 (sys.get_int_max_str_digits(), 0 meaning no limit) cannot be reported
 and exits 64 before any work is done; the limit is left as it is.
 
@@ -38,6 +46,7 @@ from .exact import FACTOR_BUDGET, INF, InternalError, floor_root, is_prime
 from .newton import build_polygon
 from .poly import Poly, X, is_integral
 from .sextic import (
+    IrreducibilityReport,
     irreducibility_check,
     normalize,
     ore_translations,
@@ -192,14 +201,7 @@ def _prime_entry(pb, f: Poly, explain: bool):
         "basis": _basis_dict(pb.rows, [pb.p ** k for k in pb.k]),
     }
     if explain:
-        lines = [f"v_{pb.p}(D) = {pb.v_D}", f"v_{pb.p}(d_K) = {pb.v_dK}",
-                 "k = (" + ", ".join(_s(k) for k in pb.k) + ")"]
-        lines += [f"{name} = {value}"
-                  for name, value in _params_dict(pb.params).items()]
-        entry["explain"] = {
-            "parameters": lines,
-            "polygon": _polygon_dict(f, pb.p),
-        }
+        entry["explain"] = {"polygon": _polygon_dict(f, pb.p)}
         translations = ore_translations(pb.params)
         if translations:
             # the index claim for this case rests on the polygon taken
@@ -262,91 +264,72 @@ def _execute(args):
         raise UsageError("--factor-budget must be non-negative")
     if args.prime is not None and not is_prime(args.prime):
         raise UsageError(f"--prime must be a prime number, got {args.prime}")
-    _check_printable(3125 * a ** 6 - 46656 * b ** 5)
+    D = 3125 * a ** 6 - 46656 * b ** 5
+    _check_printable(D)
 
-    # degenerate inputs never reach the tables
+    # degenerate pairs never reach normalize or the tables
     if b == 0:
-        report["irreducibility"] = {
-            "status": "reducible",
-            "method": "x divides x^6 + a*x",
-            "witness": _render_element((0, 1), 1),
-        }
-        report["discriminant"] = {"value": _s(3125 * a ** 6), "factors": None}
-        return report, 2
-    try:
-        field = normalize(a, b, factor_budget=args.factor_budget)
-    except ValueError:
-        # b nonzero, so a zero discriminant means (a, b) = (6s^5, 5s^6)
-        s = _sixth_family_root(a)
-        report["irreducibility"] = {
-            "status": "reducible",
-            "method": "zero discriminant: repeated root -s of the "
-                      "(6s^5, 5s^6) family",
-            "witness": _render_element((s, 1), 1),
-        }
-        report["discriminant"] = {"value": "0", "factors": None}
-        return report, 2
-
-    report["normalization"] = {
-        "applied": [[_s(p), _s(e)] for p, e in field.normalization],
-        "a": _s(field.a),
-        "b": _s(field.b),
-    }
-    if field.unsplit_content != 1:
-        warnings.append(
-            f"gcd(a, b) keeps an unfactored cofactor of "
-            f"{field.unsplit_content.bit_length()} bits; sixth-power content "
-            f"in it is assumed absent"
+        irr = IrreducibilityReport("reducible", "x divides x^6 + a*x", X)
+    elif D == 0:
+        # b != 0, so (a, b) = (6s^5, 5s^6) with s != 0
+        s = floor_root(abs(a) // 6, 5)
+        irr = IrreducibilityReport(
+            "reducible",
+            "zero discriminant: repeated root -s of the (6s^5, 5s^6) family",
+            X + (s if a > 0 else -s),
         )
-
-    irr = irreducibility_check(field)
+    else:
+        field = normalize(a, b, factor_budget=args.factor_budget)
+        D = field.D
+        report["normalization"] = {
+            "applied": [[_s(p), _s(e)] for p, e in field.normalization],
+            "a": _s(field.a),
+            "b": _s(field.b),
+        }
+        if field.unsplit_content != 1:
+            warnings.append(
+                f"gcd(a, b) keeps an unfactored cofactor of "
+                f"{field.unsplit_content.bit_length()} bits; sixth-power content "
+                f"in it is assumed absent"
+            )
+        irr = irreducibility_check(field)
     report["irreducibility"] = {
         "status": irr.status,
         "method": irr.method,
         "witness": _render_element(irr.witness.coeffs, 1)
         if irr.witness is not None else None,
     }
+    disc = report["discriminant"] = {"value": _s(D), "factors": None}
     if irr.status == "reducible":
-        report["discriminant"] = {"value": _s(field.D), "factors": None}
         return report, 2
-    f = field.f
-    checks = []
 
     if args.prime is not None:
-        p = args.prime
-        pb = p_integral_basis(p, field)
-        basis = combine([pb], field.D)
-        report["discriminant"] = {"value": _s(field.D), "factors": None}
-        report["primes"] = [_prime_entry(pb, f, args.explain)]
-        report["integral_basis"] = _basis_dict(basis.rows, basis.denominators)
-        report["index"] = _s(basis.index)
+        per_prime = (p_integral_basis(args.prime, field),)
+        basis = combine(per_prime, D)
         warnings.append(
-            f"restricted to p = {p}: index is the local contribution and "
-            f"the field discriminant is omitted"
+            f"restricted to p = {args.prime}: index is the local contribution "
+            f"and the field discriminant is omitted"
         )
-        per_prime = (pb,)
     else:
         assembly = assemble(field, factor_budget=args.factor_budget)
         pf = assembly.discriminant_factors
-        basis = assembly.basis
+        per_prime, basis = assembly.per_prime, assembly.basis
         warnings.extend(assembly.warnings)
-        disc = {"value": _s(field.D), "factors": _factors_list(pf.factors)}
+        disc["factors"] = _factors_list(pf.factors)
         if not pf.complete:
             disc["unfactored_cofactor"] = _s(abs(pf.cofactor))
-        report["discriminant"] = disc
-        report["primes"] = [
-            _prime_entry(pb, f, args.explain) for pb in assembly.per_prime
-        ]
-        report["integral_basis"] = _basis_dict(basis.rows, basis.denominators)
-        report["index"] = _s(basis.index)
-        per_prime = assembly.per_prime
         # per_prime follows pf.factors, so these are d_K's primes in order
         report["field_discriminant"] = {
             "d_K": _s(basis.d_K),
             "factors": _factors_list((pb.p, pb.v_dK) for pb in per_prime if pb.v_dK)
             if pf.complete else None,
         }
+    f = field.f
+    report["primes"] = [_prime_entry(pb, f, args.explain) for pb in per_prime]
+    report["integral_basis"] = _basis_dict(basis.rows, basis.denominators)
+    report["index"] = _s(basis.index)
 
+    checks = []
     if args.verify != "none":
         ok = all(
             is_integral(*basis.element(i), f) for i in range(6)
@@ -387,12 +370,6 @@ def _execute(args):
         "all_passed": all_passed,
     }
     return report, 0 if all_passed else 1
-
-
-def _sixth_family_root(a) -> int:
-    # D = 0 with b != 0 forces a = 6s^5 != 0
-    mag = floor_root(abs(a) // 6, 5)
-    return mag if a > 0 else -mag
 
 
 # ---------------------------------------------------------------------------
@@ -436,31 +413,23 @@ def _render_text(report) -> str:
             f"v(D) = {entry['v_D']}, v(d_K) = {entry['v_dK']}, "
             f"k = ({', '.join(entry['k'])})"
         )
-        if "explain" not in entry:
-            for name, value in entry["params"].items():
-                lines.append(f"    {name} = {value}")
-        if "explain" in entry:
-            exp = entry["explain"]
-            for text in exp["parameters"]:
-                lines.append(f"    | {text}")
-
-            def _polygon_lines(poly, label):
-                verts = " ".join(f"({x},{y})" for x, y in poly["vertices"])
-                lines.append(f"    {label} vertices: {verts}")
-                for e in poly["edges"]:
-                    lines.append(
-                        f"    edge ({e['from'][0]},{e['from'][1]}) -> "
-                        f"({e['to'][0]},{e['to'][1]}), slope {e['slope']}"
-                    )
+        for name, value in entry["params"].items():
+            lines.append(f"    {name} = {value}")
+        # --explain adds the polygon at t, and at a translated base where
+        # the case's index claim rests on that one
+        for poly in entry.get("explain", {}).values():
+            base = poly["base"]
+            label = "polygon" if base == "t" else f"polygon in {base}"
+            verts = " ".join(f"({x},{y})" for x, y in poly["vertices"])
+            lines.append(f"    {label} vertices: {verts}")
+            for e in poly["edges"]:
                 lines.append(
-                    f"    lattice points under the hull: "
-                    f"{poly['index_contribution']}"
+                    f"    edge ({e['from'][0]},{e['from'][1]}) -> "
+                    f"({e['to'][0]},{e['to'][1]}), slope {e['slope']}"
                 )
-
-            _polygon_lines(exp["polygon"], "polygon")
-            if "translated_polygon" in exp:
-                tp = exp["translated_polygon"]
-                _polygon_lines(tp, f"polygon in {tp['base']}")
+            lines.append(
+                f"    lattice points under the hull: {poly['index_contribution']}"
+            )
 
     basis = report["integral_basis"]
     if basis is not None:

@@ -31,9 +31,10 @@ cache of such values is keyed by (p, coefficients).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
-from .exact import INF, InternalError, vp_fraction
+from .exact import INF, InternalError, Record, vp_fraction
 
 
 def _norm_coeff(c):
@@ -42,8 +43,12 @@ def _norm_coeff(c):
     return c
 
 
-class Poly:
-    """Dense univariate polynomial with int/Fraction coefficients."""
+class Poly(Record):
+    """Dense univariate polynomial with int/Fraction coefficients.
+
+    An immutable record over its trimmed coefficient tuple; unlike other
+    records it also equals the int or Fraction of a constant.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -52,12 +57,6 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Poly is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.coeffs,)
 
     @property
     def degree(self) -> int:
@@ -82,8 +81,7 @@ class Poly:
             return self.coeffs == Poly((other,)).coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.coeffs)
+    __hash__ = Record.__hash__
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -424,16 +422,11 @@ def factor_mod_p(F: Poly, p: int):
     F_p, sorted by degree then by coefficient tuple.
     """
     unit, f = _monic_mod(F, p)
-    parts = list(fp_ddf(p, f))
-    factors = []
-    for (d, g, e), (d_next, g_next, _) in zip(parts, parts[1:] + [(0, None, 0)]):
-        if d_next == d:
-            # the factors that divide f exactly e times; g_next divides g
-            g = fp_divmod(p, g, g_next)[0] if len(g_next) < len(g) else [1]
-        if len(g) > 1:
-            factors += ((tuple(irr), e) for irr in _edf(p, g, d))
-    factors.sort(key=lambda t: (len(t[0]), t[0]))
-    return unit, tuple(factors)
+    # an irreducible dividing f exactly e times splits out of the first
+    # e parts of its degree, so counting the splits gives multiplicities
+    parts = fp_ddf(p, f)
+    counts = Counter(tuple(irr) for d, g, _ in parts for irr in _edf(p, g, d))
+    return unit, tuple(sorted(counts.items(), key=lambda t: (len(t[0]), t[0])))
 
 
 def factor_degrees_mod_p(F: Poly, p: int) -> tuple:

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -198,3 +200,21 @@ def test_gcd_primes_reach_the_case_tables(g, i, j, u, v):
     assembly = assemble(field, factor_budget=100)
     assert dict(assembly.discriminant_factors.factors)[g] == vp(field.D, g) > 0
     assert p_integral_basis(g, field) in assembly.per_prime
+
+
+def test_readme_library_example():
+    """README's Library block runs, and every value it shows in a
+    comment is the repr of its line."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"## Library\n\n```python\n(.*?)```\n", readme, re.S)
+    assert block is not None
+    env = {}
+    shown = 0
+    for line in block.group(1).splitlines():
+        code, _, value = line.partition("#")
+        if value.strip():
+            assert repr(eval(code, env)) == value.strip(), line
+            shown += 1
+        elif code.strip():
+            exec(code, env)
+    assert shown == 5

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -113,6 +114,32 @@ def test_reducible_inputs_exit_2(capsys):
     assert "witness t" in out
 
 
+def test_degenerate_pairs_exit_before_normalize(capsys, monkeypatch):
+    """b = 0 and the (6s^5, 5s^6) family exit 2 without normalizing, and
+    an error inside normalize is an internal error, never a zero D."""
+
+    def refuse(*args, **kwargs):
+        raise ValueError("normalize was called")
+
+    monkeypatch.setattr(cli, "normalize", refuse)
+    for s in (-4, -1, 1, 3):
+        argv = ["--a", str(6 * s ** 5), "--b", str(5 * s ** 6), "--json"]
+        code, out, err = _capture(capsys, argv)
+        assert (code, err) == (2, "")
+        report = json.loads(out)
+        assert report["normalization"] is None
+        assert report["irreducibility"]["witness"] == f"{s} + t"
+        assert report["discriminant"] == {"value": "0", "factors": None}
+    code, out, err = _capture(capsys, ["--a", "-7", "--b", "0", "--json"])
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert report["irreducibility"]["witness"] == "t"
+    assert report["discriminant"]["value"] == str(3125 * 7 ** 6)
+    code, out, err = _capture(capsys, ["--a", "5", "--b", "-2"])
+    assert (code, out) == (1, "")
+    assert err == "internal error: ValueError: normalize was called\n"
+
+
 def test_usage_errors_exit_64(capsys):
     for argv in (
         ["--a", "1"],                        # missing --b
@@ -173,13 +200,15 @@ def test_help_exits_0_through_main(capsys, monkeypatch):
 
 
 def test_prime_restriction(capsys):
-    """--prime computes only the local data and says so."""
+    """--prime computes only the local data and says so; --explain adds
+    the polygon and prints the case parameters as every run does."""
     code, out, _ = _capture(
         capsys, ["--a", "0", "--b", "135", "--prime", "3", "--explain"]
     )
     assert code == 0
     assert "F26" in out
-    assert out.count("B = 5") == 1
+    assert out.count("B = 5") == 1 and "\n    B = 5\n" in out
+    assert "    polygon vertices: " in out and "    | " not in out
     assert "index = 2187" in out
     assert "restricted to p = 3" in out
     assert "d_K =" not in out
@@ -204,6 +233,8 @@ def test_explain_translated_polygon(capsys):
     report = json.loads(out)
     exp = report["primes"][0]["explain"]
     assert report["primes"][0]["case"] == "H12"
+    # the entry itself holds v_D, v_dK, k and params: explain adds polygons
+    assert list(exp) == ["polygon", "translated_polygon"]
     assert exp["polygon"]["base"] == "t"
     assert exp["translated_polygon"]["base"] == "t - (-6/5)"
     # a negative integer translation point is parenthesized the same way
@@ -318,6 +349,62 @@ def test_verify_modes(capsys):
             assert ver["all_passed"] is True
 
 
+def _normalized_pairs(seed, count):
+    """`count` seeded pairs with |a|, |b| <= 10^6 and b != 0 that are
+    already normalized: p^6 | b needs p <= 10, so only 2, 3, 5 and 7
+    could be content primes."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        a, b = rng.randint(-10 ** 6, 10 ** 6), rng.randint(-10 ** 6, 10 ** 6)
+        if b and all(a % p ** 5 or b % p ** 6 for p in (2, 3, 5, 7)):
+            pairs.append((a, b))
+    return pairs
+
+
+def _json_run(capsys, a, b):
+    """Exit code and --json report at budget 10^4: the runs a relation
+    compares share D up to a factor t^30 that normalization removes, so
+    they factor it alike, completely or not."""
+    argv = ["--a", str(a), "--b", str(b), "--json", "--factor-budget", "10000"]
+    code, out, err = _capture(capsys, argv)
+    assert err == "", (a, b)
+    return code, json.loads(out)
+
+
+def test_relation_r1_sign_of_a(capsys):
+    """R1: x -> -x maps a root of x^6 + a*x + b to one of x^6 - a*x + b,
+    so (a, b) and (-a, b) define the same field: the same verdict,
+    index and d_K, and the same case and k at every prime."""
+
+    def answer(code, report):
+        dk = report["field_discriminant"]
+        primes = [(e["prime"], e["case"], e["k"]) for e in report["primes"] or ()]
+        return (code, report["irreducibility"]["status"], report["index"],
+                dk and dk["d_K"], primes)
+
+    for a, b in _normalized_pairs(12, 30):
+        plus, minus = _json_run(capsys, a, b), _json_run(capsys, -a, b)
+        assert answer(*plus) == answer(*minus), (a, b)
+
+
+def test_relation_r2_scaled_pair(capsys):
+    """R2: (a*t^5, b*t^6) normalizes back to (a, b), dividing out exactly
+    t, and gives the same report outside `input` and `normalization`."""
+    rng = random.Random(13)
+    for a, b in _normalized_pairs(13, 30):
+        t = rng.choice((2, 3, 5, 6, 7, 10, 11, 30, 1000003))
+        code, report = _json_run(capsys, a, b)
+        code_t, scaled = _json_run(capsys, a * t ** 5, b * t ** 6)
+        norm = scaled.pop("normalization")
+        assert (norm["a"], norm["b"]) == (str(a), str(b)), (a, b, t)
+        assert math.prod(int(p) ** int(e) for p, e in norm["applied"]) == t
+        for r in (report, scaled):
+            del r["input"]
+        del report["normalization"]
+        assert (code_t, scaled) == (code, report), (a, b, t)
+
+
 def test_text_report_worked_example(capsys):
     """The whole text report of (0, 12) is the README's example block."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()
@@ -341,6 +428,16 @@ def test_json_matches_golden(capsys, a, b, mode):
     assert code == 0
     assert err == ""
     assert out == (GOLDEN / f"a{a}_b{b}_{mode}.json").read_text()
+
+
+def test_prime_explain_matches_golden(capsys):
+    """Byte-identical --prime --explain --json output: the local entry
+    with its polygon, the discriminant unfactored, the restriction
+    warning."""
+    argv = ["--a", "0", "--b", "135", "--prime", "3", "--explain", "--json"]
+    code, out, err = _capture(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "a0_b135_prime3_explain.json").read_text()
 
 
 def _case_entries():

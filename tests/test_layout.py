@@ -49,19 +49,13 @@ def _exported(tree):
 # Class.method -> why it stays although nothing in src names it
 PROTOCOL = {
     "Poly.__init__": "Poly(...) calls it",
-    "Poly.__setattr__": "every attribute assignment calls it; it keeps Poly immutable",
     "Poly.__getitem__": "indexing calls it: g[j] in verify.lattice_index and poly",
     "Poly.__eq__": "== calls it, and so does Record.__eq__ for the records "
                    "that hold a Poly (TrinomialField, NewtonPolygon)",
-    "Poly.__hash__": "hash() calls it, and so does Record.__hash__ for the "
-                     "records that hold a Poly",
     "Poly.__add__": "binary plus calls it: self + (-other) in Poly.__sub__",
     "Poly.__neg__": "unary minus calls it: -other in Poly.__sub__",
     "Poly.__sub__": "binary minus calls it: X - t0 in cli._prime_entry",
     "Poly.__call__": "a call calls it: f(r) in sextic.irreducibility_check",
-    "Poly.__reduce__": "pickle and copy call it, and so does deepcopy of the "
-                       "records that hold a Poly; it rebuilds the Poly through "
-                       "its class",
     "Poly.__repr__": "repr() calls it, in assertion messages for one",
     "Record.__init__": "constructing any record calls it",
     "Record.__setattr__": "every attribute assignment calls it; it keeps "

@@ -127,7 +127,13 @@ def test_poly_and_the_records_that_hold_one_copy_and_pickle():
         ):
             assert clone == value and type(clone) is type(value)
             assert hash(clone) == hash(value)
-    # a rebuilt Poly is as immutable as the original
-    clone = copy.deepcopy(Poly((1, 2)))
-    with pytest.raises(AttributeError):
-        clone.coeffs = (3,)
+    # a Poly, rebuilt or not, is as immutable as every record: its
+    # coefficients can be neither replaced nor deleted
+    for poly in (Poly((1, 2)), copy.deepcopy(Poly((1, 2)))):
+        for mutate in (
+            lambda: setattr(poly, "coeffs", (3,)),
+            lambda: delattr(poly, "coeffs"),
+        ):
+            with pytest.raises(AttributeError):
+                mutate()
+        assert poly.coeffs == (1, 2)

@@ -1,8 +1,9 @@
 """The report checker of `tests/reportcheck.py` against the CLI.
 
-Every golden report passes it, and so does a seeded draw of two
-instances of every case run through the CLI under `--verify none`, so
-that no verdict depends on the package's own verifier.  Each planted
+Every golden report passes it (the `--prime` golden its local check),
+and so does a seeded draw of two instances of every case run through
+the CLI under `--verify none`, so that no verdict depends on the
+package's own verifier.  Each planted
 defect below fails the check that names it.  `check_corpus` runs the
 checker on every `bench/corpus` entry under its workload's flags with
 `--verify none`; CI calls it.
@@ -58,9 +59,18 @@ def test_goldens_pass():
         if path.name == "case_entries.json":
             continue
         report = json.loads(path.read_text())
-        check_report(int(report["input"]["a"]), int(report["input"]["b"]), report)
+        a, b = int(report["input"]["a"]), int(report["input"]["b"])
+        if "_prime" in path.name:
+            # a --prime report: one local entry, which is also the basis
+            (entry,) = report["primes"]
+            check_local_basis(a, b, entry)
+            assert report["integral_basis"] == entry["basis"]
+            p, k = int(entry["prime"]), map(int, entry["k"])
+            assert report["index"] == str(p ** sum(k))
+        else:
+            check_report(a, b, report)
         checked += 1
-    assert checked == 7
+    assert checked == 8
     entries = _golden("case_entries.json")
     for item in entries:
         check_local_basis(int(item["a"]), int(item["b"]), item["entry"])
